@@ -76,6 +76,11 @@ class Dataset:
     def shared_noise(self) -> bool:
         return self.noise.ndim == 2
 
+    @property
+    def noise_stack(self) -> np.ndarray:
+        """Noise as an ``(m, R, R)`` stack: ``m = 1`` if shared, else ``n``."""
+        return self.noise.reshape(-1, self.dim, self.dim)
+
     def noise_for(self, j: int) -> np.ndarray:
         """Noise covariance of observation ``j``."""
         return self.noise if self.shared_noise else self.noise[j]
@@ -121,15 +126,20 @@ def validate_dataset(dataset: Dataset) -> Dataset:
         )
     if not np.all(np.isfinite(mats)):
         raise MalformedInputError("noise contains non-finite values")
-    for j, v in enumerate(mats):
-        if not linalg.is_symmetric(v):
-            raise NotPositiveDefiniteError(f"noise matrix {j} is not symmetric")
-        try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                f"noise matrix {j} failed the Cholesky check"
-            ) from None
+    asymmetric = np.flatnonzero(~linalg.is_symmetric(mats))
+    if asymmetric.size:
+        raise NotPositiveDefiniteError(f"noise matrix {asymmetric[0]} is not symmetric")
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        # The stacked factorization does not say which matrix failed.
+        for j, v in enumerate(mats):
+            try:
+                np.linalg.cholesky(v)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError(
+                    f"noise matrix {j} failed the Cholesky check"
+                ) from None
     return dataset
 
 

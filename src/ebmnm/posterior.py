@@ -7,6 +7,12 @@ From these we compute posterior means, standard deviations and the local
 false sign rate (lfsr), the smaller of the posterior probabilities that a
 coordinate is >= 0 or <= 0.
 
+The moments run as one batched kernel per component: a stacked Cholesky of
+``U_k + V_j`` over the ``(m, R, R)`` noise stack (``m = 1`` shared, ``m = n``
+per observation), stacked solves, and a stacked eigendecomposition that
+clamps each posterior covariance to PSD on its own.  ``posterior_mixture``
+is the same kernel on a one-row slice.
+
 Sign convention at point masses: a component with zero variance and zero
 mean at a coordinate contributes its full weight to BOTH one-sided
 probabilities (the inequalities are closed), so a posterior that is a pure
@@ -51,30 +57,28 @@ def _check_dims(dataset: Dataset, prior: MixturePrior) -> None:
         )
 
 
-def _component_moments(cov: np.ndarray, noise: np.ndarray,
-                       x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means (rows of x) and shared covariance for one component."""
-    z = linalg.solve_psd(cov + noise, cov)        # (U+V)^{-1} U
-    means = x_rows @ z                            # rows U (U+V)^{-1} x_j
-    post_cov = linalg.clamp_psd(z.T @ noise)      # U - U (U+V)^{-1} U = U (U+V)^{-1} V
+def _component_moments(cov: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means ``(n, R)`` and covariances ``(m, R, R)`` for one component.
+
+    Row ``j`` of the means is ``U (U+V_j)^{-1} x_j``; covariance ``i`` of the
+    noise stack is ``U (U+V_i)^{-1} V_i``, clamped to PSD.
+    """
+    noise = dataset.noise_stack
+    r = dataset.dim
+    z = linalg.solve_psd(cov + noise, cov)                  # (U+V)^{-1} U
+    means = (dataset.x.reshape(len(noise), -1, r) @ z).reshape(-1, r)   # rows U (U+V)^{-1} x_j
+    post_cov = linalg.clamp_psd(z.swapaxes(1, 2) @ noise)   # U - U (U+V)^{-1} U = U (U+V)^{-1} V
     return means, post_cov
 
 
 def posterior_mixture(dataset: Dataset, prior: MixturePrior, j: int) -> PosteriorMixture:
     """Exact posterior mixture for observation ``j``."""
     _check_dims(dataset, prior)
-    x = dataset.x[j]
-    noise = dataset.noise_for(j)
-    k = prior.n_components
-    r = dataset.dim
-    single = Dataset(x[None, :], noise)
+    single = Dataset(dataset.x[j:j + 1], dataset.noise_for(j))
     weights = mixture.responsibilities(single, prior)[0]
-    means = np.empty((k, r))
-    covs = np.empty((k, r, r))
-    for i, cov in enumerate(prior.covariances):
-        m, c = _component_moments(cov, noise, x[None, :])
-        means[i] = m[0]
-        covs[i] = c
+    moments = [_component_moments(cov, single) for cov in prior.covariances]
+    means = np.stack([m[0] for m, _ in moments])
+    covs = np.stack([c[0] for _, c in moments])
     return PosteriorMixture(weights, means, covs)
 
 
@@ -127,27 +131,15 @@ def summarize(dataset: Dataset, prior: MixturePrior) -> PosteriorSummary:
     second = np.zeros((n, r))
     pos = np.zeros((n, r))
     neg = np.zeros((n, r))
-    if dataset.shared_noise:
-        for k, cov in enumerate(prior.covariances):
-            means_k, cov_k = _component_moments(cov, dataset.noise, dataset.x)
-            var_k = np.maximum(np.diag(cov_k), 0.0)
-            wk = resp[:, k][:, None]
-            mean += wk * means_k
-            second += wk * (var_k[None, :] + means_k**2)
-            p, q = _one_sided(means_k, var_k[None, :])
-            pos += wk * p
-            neg += wk * q
-    else:
-        for j in range(n):
-            for k, cov in enumerate(prior.covariances):
-                means_k, cov_k = _component_moments(cov, dataset.noise[j], dataset.x[j][None, :])
-                var_k = np.maximum(np.diag(cov_k), 0.0)
-                wk = resp[j, k]
-                mean[j] += wk * means_k[0]
-                second[j] += wk * (var_k + means_k[0] ** 2)
-                p, q = _one_sided(means_k[0], var_k)
-                pos[j] += wk * p
-                neg[j] += wk * q
+    for k, cov in enumerate(prior.covariances):
+        means_k, cov_k = _component_moments(cov, dataset)
+        var_k = np.maximum(np.diagonal(cov_k, axis1=1, axis2=2), 0.0)   # (m, R)
+        wk = resp[:, k][:, None]
+        mean += wk * means_k
+        second += wk * (var_k + means_k**2)
+        p, q = _one_sided(means_k, var_k)
+        pos += wk * p
+        neg += wk * q
     variance = np.maximum(second - mean**2, 0.0)
     return PosteriorSummary(mean=mean, sd=np.sqrt(variance), lfsr=np.minimum(pos, neg))
 

@@ -10,6 +10,13 @@ exactly by truncating (or penalty-adjusting) the eigenvalues of the
 transformed weighted sample covariance.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
 ``scaled_update`` handles the one-dimensional problem ``U = c * base``.
+
+Log-densities and the ``ed`` step treat the noise as an ``(m, R, R)`` stack
+(``m = 1`` shared, ``m = n`` per observation) and run one stacked Cholesky
+of ``U + V_j`` plus stacked solves, with no loop over observations; see
+:mod:`ebmnm.linalg`.  Per-observation noise costs ``O(n R^2)`` memory per
+component; shared noise is factored once and never expanded to ``n``
+matrices.
 """
 
 from __future__ import annotations
@@ -71,12 +78,7 @@ class WeightedProblem:
 
 def component_loglik(dataset: Dataset, cov: np.ndarray) -> np.ndarray:
     """Per-observation log density ``log N(x_j; 0, cov + V_j)``."""
-    if dataset.shared_noise:
-        return linalg.mvn_logpdf_zero_mean(dataset.x, cov + dataset.noise)
-    out = np.empty(dataset.n_obs)
-    for j in range(dataset.n_obs):
-        out[j] = linalg.mvn_logpdf_zero_mean(dataset.x[j], cov + dataset.noise[j])[0]
-    return out
+    return linalg.mvn_logpdf_zero_mean(dataset.x, cov + dataset.noise)
 
 
 def weighted_loglik(problem: WeightedProblem, cov: np.ndarray) -> float:
@@ -284,26 +286,16 @@ def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
         raise UnsupportedPenaltyError("the nuclear-norm penalty has no closed-form ed update")
     dataset = problem.dataset
     u = np.asarray(current, dtype=float)
-    w = problem.weights
     total = problem.total_weight
     r = dataset.dim
-    if dataset.shared_noise:
-        z = linalg.solve_psd(u + dataset.noise, u)          # (U+V)^{-1} U
-        p = z.T                                             # U (U+V)^{-1}
-        b_cov = linalg.sym(u - p @ u)
-        x = dataset.x
-        s_w = (x * w[:, None]).T @ x                        # sum_j w_j x_j x_j^T
-        moment = total * b_cov + p @ s_w @ p.T
-    else:
-        moment = np.zeros((r, r))
-        for j in range(dataset.n_obs):
-            if w[j] == 0.0:
-                continue
-            t = u + dataset.noise[j]
-            sol = linalg.solve_psd(t, np.column_stack([dataset.x[j], u]))
-            b = u @ sol[:, 0]
-            b_cov = u - u @ sol[:, 1:]
-            moment += w[j] * (linalg.sym(b_cov) + np.outer(b, b))
+    noise = dataset.noise_stack                          # (m, R, R)
+    rows = dataset.x.reshape(len(noise), -1, r)          # (m, n/m, R)
+    w = problem.weights.reshape(len(noise), -1, 1)
+    z = linalg.solve_psd(u + noise, u)                   # (U+V_j)^{-1} U
+    p = z.swapaxes(1, 2)                                 # U (U+V_j)^{-1}
+    b_cov = linalg.sym(u - p @ u)
+    s_w = (rows * w).swapaxes(1, 2) @ rows               # sum_j w_j x_j x_j^T per matrix
+    moment = np.sum(w.sum(axis=1)[:, :, None] * b_cov + p @ s_w @ p.swapaxes(1, 2), axis=0)
     if problem.penalty.active:
         lam = problem.penalty.lam
         new = (moment + lam * problem.scale * np.eye(r)) / (total + lam)
@@ -337,17 +329,12 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
         mu = sigma2 * (x @ viu)
         denom = float(w @ (mu * mu + sigma2))
         return ((w * mu) @ x) / denom
-    r = dataset.dim
-    system = np.zeros((r, r))
-    rhs = np.zeros(r)
-    eye = np.eye(r)
-    for j in range(dataset.n_obs):
-        v_inv = linalg.solve_psd(dataset.noise[j], eye)
-        viu = v_inv @ u
-        sigma2 = 1.0 / (1.0 + float(u @ viu))
-        mu = sigma2 * float(viu @ x[j])
-        system += w[j] * (mu * mu + sigma2) * v_inv
-        rhs += w[j] * mu * (v_inv @ x[j])
+    v_inv = linalg.solve_psd(dataset.noise, np.eye(dataset.dim))
+    viu = v_inv @ u
+    sigma2 = 1.0 / (1.0 + viu @ u)
+    mu = sigma2 * np.sum(viu * x, axis=1)
+    system = np.einsum("j,jab->ab", w * (mu * mu + sigma2), v_inv)
+    rhs = (w * mu) @ (v_inv @ x[:, :, None])[:, :, 0]
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:

@@ -60,6 +60,17 @@ class TestValidateDataset:
         with pytest.raises(DimensionMismatchError):
             validate_dataset(Dataset(np.zeros((2, 2)), noise))
 
+    @pytest.mark.parametrize("broken, message", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "noise matrix 3 is not symmetric"),
+        (np.diag([1.0, -0.1]), "noise matrix 3 failed the Cholesky check"),
+    ])
+    def test_reports_first_offending_matrix(self, broken, message):
+        noise = np.stack([np.eye(2)] * 6)
+        noise[3] = broken
+        noise[5] = broken
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            validate_dataset(Dataset(np.zeros((6, 2)), noise))
+
     def test_idempotent(self, rng):
         noise = np.stack([random_psd(rng, 3) for _ in range(4)])
         ds = Dataset(rng.standard_normal((4, 3)), noise)

@@ -1,0 +1,184 @@
+"""The batched noise kernel against naive per-row references.
+
+Log-densities, the ``ed`` moment and posterior summaries run as one stacked
+computation over the ``(m, R, R)`` noise stack.  The references here loop
+over observations with plain numpy (``slogdet``, ``solve``, ``eigh``) and
+share no code with the package's kernel.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp, ndtr
+
+from ebmnm import linalg
+from ebmnm.core import Dataset, MixturePrior
+from ebmnm.exceptions import NumericalFailureError
+from ebmnm.posterior import summarize
+from ebmnm.solvers import WeightedProblem, component_loglik, ed_update
+
+# Relative tolerance fixed from the dtype: reordered sums and a batched LU
+# solve in place of triangular solves change results by a few ulps times
+# the conditioning of U + V_j (well below 1e6 for the matrices drawn here).
+TOL = 1e6 * np.finfo(float).eps
+
+
+def _psd(rng, r, kind):
+    if kind == "zero":
+        return np.zeros((r, r))
+    if kind == "rank1":
+        u = rng.standard_normal(r)
+        return np.outer(u, u)
+    a = rng.standard_normal((r, r))
+    return linalg.sym(a @ a.T / r + 0.1 * np.eye(r))
+
+
+@st.composite
+def cases(draw):
+    """A dataset and prior covariances; noise scaled by 1e-50, 1 or 1e50."""
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, 6))
+    shared = draw(st.booleans())
+    exponent = draw(st.sampled_from([-50, 0, 50]))
+    # A rank-1 U plus noise 1e-50 is singular to working precision.
+    kinds = ["pd", "zero"] + (["rank1"] if exponent > -50 else [])
+    prior_kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** exponent
+    if shared:
+        noise = scale * _psd(rng, r, "pd")
+    else:
+        noise = scale * np.stack([_psd(rng, r, "pd") for _ in range(n)])
+    x = rng.standard_normal((n, r)) * np.sqrt(1.0 + scale)
+    covs = np.stack([_psd(rng, r, kind) for kind in prior_kinds])
+    weights = rng.dirichlet(np.ones(len(covs)))
+    return Dataset(x, noise), covs, weights, rng.uniform(0.0, 1.0, n)
+
+
+def naive_logpdf(dataset, cov):
+    """Per-row terms of ``log N(x_j; 0, cov + V_j)``: (value, term scale)."""
+    r = dataset.dim
+    values, scales = [], []
+    for j in range(dataset.n_obs):
+        t = cov + dataset.noise_for(j)
+        _, logdet = np.linalg.slogdet(t)
+        quad = dataset.x[j] @ np.linalg.solve(t, dataset.x[j])
+        values.append(-0.5 * (r * np.log(2 * np.pi) + logdet + quad))
+        scales.append(r + abs(logdet) + quad)
+    return np.array(values), np.array(scales)
+
+
+def naive_ed_moment(dataset, u, w):
+    """``sum_j w_j (B_j + b_j b_j^T) / W`` and a scale for its rounding."""
+    moment = np.zeros_like(u)
+    size = 0.0
+    for j in range(dataset.n_obs):
+        t = u + dataset.noise_for(j)
+        sol = np.linalg.solve(t, np.column_stack([dataset.x[j], u]))
+        b = u @ sol[:, 0]
+        b_cov = u - u @ sol[:, 1:]
+        moment += w[j] * (0.5 * (b_cov + b_cov.T) + np.outer(b, b))
+        size = max(size, b @ b)
+    return moment / w.sum(), np.abs(u).max() + size
+
+
+def naive_summary(dataset, covs, weights):
+    """Posterior mean, variance and lfsr, one observation and component at a time."""
+    n, r = dataset.x.shape
+    log_dens = np.column_stack([naive_logpdf(dataset, cov)[0] for cov in covs])
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)[None, :] + log_dens
+    resp = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+    mean, second = np.zeros((n, r)), np.zeros((n, r))
+    pos, neg = np.zeros((n, r)), np.zeros((n, r))
+    for j in range(n):
+        v = dataset.noise_for(j)
+        for k, u in enumerate(covs):
+            z = np.linalg.solve(u + v, u)
+            m = z.T @ dataset.x[j]
+            c = z.T @ v
+            e, q = np.linalg.eigh(0.5 * (c + c.T))
+            if e[0] < 0:
+                c = (q * np.maximum(e, 0.0)) @ q.T
+            var = np.maximum(np.diag(c), 0.0)
+            mean[j] += resp[j, k] * m
+            second[j] += resp[j, k] * (var + m * m)
+            for i in range(r):
+                if var[i] > 0:
+                    p, q_ = ndtr(m[i] / np.sqrt(var[i])), ndtr(-m[i] / np.sqrt(var[i]))
+                else:
+                    p, q_ = float(m[i] >= 0), float(m[i] <= 0)
+                pos[j, i] += resp[j, k] * p
+                neg[j, i] += resp[j, k] * q_
+    return mean, np.maximum(second - mean**2, 0.0), np.minimum(pos, neg), second
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_log_density_matches_per_row_reference(case):
+    dataset, covs, _, _ = case
+    for cov in covs:
+        expected, scale = naive_logpdf(dataset, cov)
+        got = component_loglik(dataset, cov)
+        assert got.shape == (dataset.n_obs,)
+        assert np.all(np.abs(got - expected) <= TOL * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_ed_moment_matches_per_row_reference(case):
+    dataset, covs, _, w = case
+    w[0] = max(w[0], 0.5)  # the weights must not all vanish
+    problem = WeightedProblem(dataset, w)
+    for u in covs:
+        expected, scale = naive_ed_moment(dataset, u, w)
+        got = ed_update(problem, u)
+        assert np.all(np.abs(got - expected) <= TOL * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_summarize_matches_per_row_reference(case):
+    dataset, covs, weights, _ = case
+    mean, var, lfsr, second = naive_summary(dataset, covs, weights)
+    got = summarize(dataset, MixturePrior(weights, covs))
+    x_scale = np.abs(dataset.x).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got.mean - mean) <= TOL * (x_scale + np.sqrt(second)))
+    assert np.all(np.abs(got.sd**2 - var) <= TOL * second)
+    assert np.all(np.abs(got.lfsr - lfsr) <= TOL)
+
+
+class TestStackedCholeskyJitter:
+    def test_only_the_singular_slice_is_jittered(self):
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
+        stack = np.stack([np.eye(2), np.diag([2.0, 3.0]), singular,
+                          np.array([[4.0, 1.0], [1.0, 2.0]]), 5.0 * np.eye(2)])
+        got = linalg.cholesky_with_jitter(stack)
+        np.testing.assert_array_equal(got[2], linalg.cholesky_with_jitter(singular))
+        for j in (0, 1, 3, 4):
+            np.testing.assert_array_equal(got[j], np.linalg.cholesky(stack[j]))
+
+    def test_indefinite_slice_raises(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]),
+                          np.diag([1.0, -1.0]), np.eye(2)])
+        with pytest.raises(NumericalFailureError):
+            linalg.cholesky_with_jitter(stack)
+
+    def test_indefinite_component_raises_through_log_density(self):
+        noise = np.stack([np.eye(2)] * 3)
+        dataset = Dataset(np.zeros((3, 2)), noise)
+        with pytest.raises(NumericalFailureError):
+            component_loglik(dataset, np.diag([0.0, -2.0]))
+
+
+def test_stacked_clamp_matches_per_matrix_clamp():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 3, 3))
+    stack = np.stack([a[0] @ a[0].T, a[1] + a[1].T, np.zeros((3, 3)), a[3] + a[3].T])
+    got = linalg.clamp_psd(stack)
+    for j in range(len(stack)):
+        np.testing.assert_array_equal(got[j], linalg.clamp_psd(stack[j]))
+    assert np.linalg.eigvalsh(got[1]).min() > -1e-12 > np.linalg.eigvalsh(stack[1]).min()
