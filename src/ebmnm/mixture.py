@@ -194,8 +194,14 @@ def _noise_whitener(dataset: Dataset) -> np.ndarray:
 
 def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algorithm: str,
               penalty: Penalty, max_iterations: int, tolerance: float | None,
-              trace: list | None, t0: float) -> tuple[bool, int]:
-    """Run EM iterations in place; returns (converged, iterations run)."""
+              trace: list | None, t0: float,
+              log_dens: np.ndarray | None = None) -> tuple[bool, int, np.ndarray]:
+    """Run EM iterations in place.
+
+    ``log_dens``, if given, must be the component log-densities of the
+    current state.  Returns (converged, iterations run, log-densities of
+    the final state).
+    """
     n = dataset.n_obs
     whitener = None
     if penalty.active and free_algorithm == "ted":
@@ -207,7 +213,8 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         ll = math.fsum(_mixture_logpdf(logw, log_dens).tolist())
         return ll - _penalty_total(state, penalty, whitener)
 
-    log_dens = _component_log_densities(dataset, state.covariances)
+    if log_dens is None:
+        log_dens = _component_log_densities(dataset, state.covariances)
     previous = None
     if trace is not None:
         previous = objective(log_dens)
@@ -237,7 +244,7 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
                 converged = True
                 break
             previous = current
-    return converged, iteration
+    return converged, iteration, log_dens
 
 
 def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
@@ -263,16 +270,17 @@ def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
     config.validate_for(dataset, init)
     state = _State(init)
     t0 = time.perf_counter()
+    log_dens = None
     if config.warm_start_iterations > 0:
         # ed has no closed form under the nuclear-norm penalty; warm starts
         # for nn configurations run unpenalized.
         warm_penalty = config.penalty if config.penalty.kind != "nn" else Penalty.none()
-        _em_phase(dataset, state, "ed", config.algorithm, warm_penalty,
-                  config.warm_start_iterations, None, None, t0)
+        _, _, log_dens = _em_phase(dataset, state, "ed", config.algorithm, warm_penalty,
+                                   config.warm_start_iterations, None, None, t0)
     records: list = []
-    converged, iterations = _em_phase(
+    converged, iterations, _ = _em_phase(
         dataset, state, config.algorithm, config.algorithm, config.penalty,
-        config.max_iterations, config.tolerance, records, t0,
+        config.max_iterations, config.tolerance, records, t0, log_dens,
     )
     its, objs, secs = zip(*records)
     trace = FitTrace(np.array(its), np.array(objs), np.array(secs), converged, iterations)

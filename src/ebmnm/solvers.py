@@ -7,9 +7,13 @@ Each function solves (or improves) the weighted problem
 where ``phi(U; w) = sum_j w_j log N(x_j; 0, U + V_j)`` and ``rho`` is an
 optional eigenvalue penalty.  ``ted_update`` solves the shared-noise problem
 exactly by truncating (or penalty-adjusting) the eigenvalues of the
-transformed weighted sample covariance.  ``ed_update`` and ``fa_update`` are
+transformed weighted sample covariance; each penalized eigenvalue is the
+best positive root of a cubic ("iw") or quartic ("nn") stationarity
+polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
-``scaled_update`` handles the one-dimensional problem ``U = c * base``.
+``scaled_update`` handles the one-dimensional problem ``U = c * base``; for
+shared noise its objective is diagonal in the basis that whitens the noise
+and diagonalizes ``base``, so each evaluation costs O(R).
 
 Log-densities and the ``ed`` step treat the noise as an ``(m, R, R)`` stack
 (``m = 1`` shared, ``m = n`` per observation) and run one stacked Cholesky
@@ -37,8 +41,7 @@ from .exceptions import (
     UnsupportedPenaltyError,
 )
 
-# Tolerance of the bounded 1-d searches.
-SCALAR_XATOL = 1e-10
+# Iteration cap of the bounded 1-d search in ``scaled_update``.
 SCALAR_MAXITER = 200
 # Relative floor applied to eigenvalues before penalty scale updates.
 SPECTRUM_FLOOR_RTOL = 1e-8
@@ -140,7 +143,32 @@ def _refine_scalar_max(f, grid: np.ndarray, values: np.ndarray, xatol: float) ->
     return best_x
 
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+def _penalized_stationarity_roots(d_values: np.ndarray, w: float, lam: float, s: float,
+                                  iw: bool) -> np.ndarray:
+    """Real parts of the roots of ``g'(e) = 0`` with denominators cleared.
+
+    One polynomial per eigenvalue (highest degree first):
+
+    * "iw": ``(W+lam) e^3 + (W(1-d) + lam(2-s)) e^2 + lam(1-2s) e - lam s``
+    * "nn": ``lam e^4 + (2Ws + 2lam) e^3 + (2Ws(1-d) + lam(1-s^2)) e^2
+      - 2 lam s^2 e - lam s^2``
+
+    The roots of the whole spectrum come from one batched eigenvalue call
+    on the stacked companion matrices; shape ``(R, degree)``.
+    """
+    one = np.ones_like(d_values)
+    if iw:
+        coeffs = np.stack([(w + lam) * one, w * (1.0 - d_values) + lam * (2.0 - s),
+                           lam * (1.0 - 2.0 * s) * one, -lam * s * one], axis=1)
+    else:
+        coeffs = np.stack([lam * one, (2.0 * w * s + 2.0 * lam) * one,
+                           2.0 * w * s * (1.0 - d_values) + lam * (1.0 - s * s),
+                           -2.0 * lam * s * s * one, -lam * s * s * one], axis=1)
+    deg = coeffs.shape[1] - 1
+    companion = np.zeros((len(d_values), deg, deg))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    return np.linalg.eigvals(companion).real
 
 
 def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
@@ -154,9 +182,13 @@ def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
         g(e) = -(W/2) [log(1 + e) + d / (1 + e)] - pen(e / scale)
 
     with ``W`` the total weight.  Without a penalty the maximizer is the
-    truncation ``max(d - 1, 0)``; with a penalty each 1-d problem is solved
-    by a log-grid scan followed by golden-section refinement, run across all
-    eigenvalues simultaneously.
+    truncation ``max(d - 1, 0)``.  With a penalty the maximizer is a
+    positive root of the stationarity polynomial, a cubic for "iw" and a
+    quartic for "nn" (see :func:`_penalized_stationarity_roots`); one exists
+    because ``g' -> +inf`` as ``e -> 0+`` and ``g' < 0`` for large ``e``.
+    The positive root with the largest ``g`` is polished by one Newton step
+    on ``g'``, kept only if ``g`` does not fall, so that ulp-identical
+    problems agree to machine precision.
     """
     d_values = np.asarray(d_values, dtype=float)
     if not penalty.active:
@@ -164,66 +196,29 @@ def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
     w, lam, s = total_weight, penalty.lam, scale
     iw = penalty.kind == "iw"
 
-    def g(e):
-        lik = -0.5 * w * (np.log1p(e) + d_values / (1.0 + e))
-        if iw:
-            return lik - 0.5 * lam * (np.log(e / s) + s / e)
-        return lik - 0.25 * lam * (e / s + s / e)
-
-    # The unpenalized optimum is d - 1 and the penalty pulls toward s, so
-    # every stationary point lies below max(d, s); the bracket is generous.
-    hi = 10.0 * np.maximum(np.maximum(d_values, s), 1.0)
-    grid = hi[:, None] * np.geomspace(1e-13, 1.0, 160)[None, :]
-    values = (-0.5 * w * (np.log1p(grid) + d_values[:, None] / (1.0 + grid)))
-    if iw:
-        values -= 0.5 * lam * (np.log(grid / s) + s / grid)
-    else:
-        values -= 0.25 * lam * (grid / s + s / grid)
-    best = np.argmax(values, axis=1)
-    rows = np.arange(len(d_values))
-    lo = grid[rows, np.maximum(best - 1, 0)]
-    up = grid[rows, np.minimum(best + 1, grid.shape[1] - 1)]
-    lo0, up0 = lo.copy(), up.copy()
-    # Golden-section refinement, vectorized over the eigenvalues.
-    c = up - _INV_PHI * (up - lo)
-    d_pt = lo + _INV_PHI * (up - lo)
-    fc, fd = g(c), g(d_pt)
-    for _ in range(SCALAR_MAXITER):
-        if np.max(up - lo) <= SCALAR_XATOL:
-            break
-        move_up = fc < fd  # the maximum lies in the upper part: drop [lo, c]
-        lo = np.where(move_up, c, lo)
-        up = np.where(move_up, up, d_pt)
-        c = up - _INV_PHI * (up - lo)
-        d_pt = lo + _INV_PHI * (up - lo)
-        fc, fd = g(c), g(d_pt)
-    mid = 0.5 * (lo + up)
-
-    # Comparison-based search localizes the maximizer only to about
-    # sqrt(machine eps); polish with Newton on g' so that repeated solves of
-    # ulp-identical problems agree to machine precision (the end-to-end
-    # scale-invariance contract needs this).
-    e = mid
-    for _ in range(6):
-        u1 = 1.0 + e
-        gp = -0.5 * w * (u1 - d_values) / u1**2
-        gpp = -0.5 * w * (2.0 * d_values - u1) / u1**3
-        if iw:
-            gp -= 0.5 * lam * (1.0 / e - s / e**2)
-            gpp -= 0.5 * lam * (2.0 * s / e**3 - 1.0 / e**2)
-        else:
-            gp -= 0.25 * lam * (1.0 / s - s / e**2)
-            gpp -= 0.5 * lam * s / e**3
+    def g(e, d=d_values):
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = gp / gpp
-        e = np.clip(np.where(np.isfinite(step), e - step, e), lo0, up0)
-    # Near the optimum g is flat to ulp, so "not worse than mid" must allow
-    # rounding slack; a genuinely worse Newton endpoint is still rejected.
-    g_mid = g(mid)
-    slack = 1e-9 * (1.0 + np.abs(g_mid))
-    out = np.where(np.isfinite(e) & (g(e) >= g_mid - slack), e, mid)
-    # Never return anything worse than the best grid point.
-    return np.where(g(out) >= values[rows, best] - slack, out, grid[rows, best])
+            lik = -0.5 * w * (np.log1p(e) + d / (1.0 + e))
+            if iw:
+                return lik - 0.5 * lam * (np.log(e / s) + s / e)
+            return lik - 0.25 * lam * (e / s + s / e)
+
+    roots = _penalized_stationarity_roots(d_values, w, lam, s, iw)
+    values = np.where(roots > 0, g(roots, d_values[:, None]), -np.inf)
+    e = roots[np.arange(len(d_values)), np.argmax(values, axis=1)]
+
+    u1 = 1.0 + e
+    gp = -0.5 * w * (u1 - d_values) / u1**2
+    gpp = -0.5 * w * (2.0 * d_values - u1) / u1**3
+    if iw:
+        gp -= 0.5 * lam * (1.0 / e - s / e**2)
+        gpp -= 0.5 * lam * (2.0 * s / e**3 - 1.0 / e**2)
+    else:
+        gp -= 0.25 * lam * (1.0 / s - s / e**2)
+        gpp -= 0.5 * lam * s / e**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = e - gp / gpp
+    return np.where((newton > 0) & (g(newton) >= g(e)), newton, e)
 
 
 def solve_penalized_eigenvalue(d: float, total_weight: float, penalty: Penalty,
@@ -341,18 +336,54 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
 
 
+def _shared_noise_scaled_objective(problem: WeightedProblem, base: np.ndarray):
+    """``c -> phi(c * base; w)`` for shared noise in O(R) per evaluation.
+
+    With ``V = L L^T`` and ``L^{-1} base L^{-T} = Q diag(b) Q^T`` (``b``
+    clamped at 0, since ``base`` may be singular), ``c * base + V =
+    L Q (I + c diag(b)) Q^T L^T``.  In the rotated coordinates
+    ``y_j = Q^T L^{-1} x_j`` with ``S_i = sum_j w_j y_ji^2``:
+
+        phi(c) = const - (W/2) sum_i log(1 + c b_i) - 1/2 sum_i S_i / (1 + c b_i).
+    """
+    dataset = problem.dataset
+    lower = linalg.cholesky_with_jitter(dataset.noise)
+    whiten = scipy.linalg.solve_triangular(lower, np.eye(dataset.dim), lower=True,
+                                           check_finite=False)
+    b, q = np.linalg.eigh(linalg.sym(whiten @ base @ whiten.T))
+    b = np.maximum(b, 0.0)
+    y = dataset.x @ (q.T @ whiten).T
+    s_w = problem.weights @ (y * y)
+    w = problem.total_weight
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+    const = -0.5 * w * (dataset.dim * np.log(2.0 * np.pi) + logdet)
+
+    def f(c):
+        cb = c * b
+        return float(const - 0.5 * w * np.sum(np.log1p(cb)) - 0.5 * np.sum(s_w / (1.0 + cb)))
+
+    return f
+
+
 def scaled_update(problem: WeightedProblem, base: np.ndarray) -> float:
     """Maximize ``phi(c * base; w)`` over ``c >= 0``.
 
     Scans a geometric grid (expanded until the objective stops growing at
-    the upper edge) and polishes the best bracket with bounded Brent.
+    the upper edge) and polishes the best bracket with bounded Brent.  For
+    shared noise the objective is evaluated in the basis that whitens the
+    noise and diagonalizes ``base`` (see
+    :func:`_shared_noise_scaled_objective`), so each evaluation is O(R);
+    per-observation noise evaluates :func:`component_loglik`.
     """
     base = np.asarray(base, dtype=float)
     dataset = problem.dataset
     w = problem.weights
 
-    def f(c):
-        return float(w @ component_loglik(dataset, c * base))
+    if dataset.shared_noise:
+        f = _shared_noise_scaled_objective(problem, base)
+    else:
+        def f(c):
+            return float(w @ component_loglik(dataset, c * base))
 
     x = dataset.x
     s_w = float(np.sum((x * w[:, None]) * x)) / problem.total_weight

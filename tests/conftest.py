@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ebmnm.core import Dataset
+
+# Property tests replay the same examples on every run, so a failure is
+# reproducible rather than depending on the run's random draws.  Each test
+# keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_psd(rng, dim, scale=1.0, ridge=0.1):

@@ -9,6 +9,8 @@ scalar grid searches.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset, random_psd
 from ebmnm import solvers
@@ -44,6 +46,11 @@ def dataset_with_sample_cov(eigenvalues, vectors=None):
     q = np.eye(r) if vectors is None else vectors
     x = np.vstack([np.sqrt(r * e) * q[:, i] for i, e in enumerate(eigenvalues)])
     return Dataset(np.vstack([x, -x]), np.eye(r))
+
+
+def log_uniform(lo, hi):
+    """Floats spread evenly in log10 between ``lo`` and ``hi``."""
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda t: 10.0 ** t)
 
 
 class TestWeightedProblem:
@@ -175,6 +182,23 @@ class TestPenalizedEigenvalueSolver:
             gf = self.eval_objective(fine, d, w, penalty, s)
             e_grid = fine[np.argmax(gf)]
             assert abs(e_hat - e_grid) <= 1e-3 + (fine[1] - fine[0])
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(["iw", "nn"]),
+           d_values=st.lists(st.one_of(st.just(0.0), log_uniform(1e-8, 1e8)),
+                             min_size=1, max_size=6),
+           w=log_uniform(1e-10, 1e6), lam=log_uniform(1e-3, 1e3),
+           s=log_uniform(1e-8, 1e8))
+    def test_spectrum_no_worse_than_dense_log_grid(self, kind, d_values, w, lam, s):
+        d = np.array(d_values)
+        penalty = Penalty(kind, lam)
+        e_hat = solvers.solve_penalized_spectrum(d, w, penalty, s)
+        assert np.all(np.isfinite(e_hat)) and np.all(e_hat > 0)
+        g_hat = self.eval_objective(e_hat, d, w, penalty, s)
+        hi = 10.0 * np.maximum(np.maximum(d, s), 1.0)
+        grid = hi[:, None] * np.geomspace(1e-13, 1.0, 20001)[None, :]
+        g_grid = self.eval_objective(grid, d[:, None], w, penalty, s).max(axis=1)
+        assert np.all(g_hat >= g_grid - 1e-12 * (1.0 + np.abs(g_hat)))
 
     def test_unpenalized_is_truncation(self):
         assert solve_penalized_eigenvalue(3.0, 10.0, Penalty.none(), 1.0) == 2.0
@@ -327,6 +351,26 @@ class TestScaledUpdate:
         phi_c = weighted_loglik(problem, c * base)
         for bump in (1 + 1e-3, 1 - 1e-3):
             assert phi_c >= weighted_loglik(problem, c * bump * base) - 1e-10
+
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("singular", [True, False])
+    def test_shared_and_per_observation_noise_agree(self, rng, dim, singular):
+        # The shared-noise path works in a whitened, diagonalized basis; the
+        # same noise repeated per observation goes through component_loglik.
+        ds = random_dataset(rng, 80, dim)
+        stacked = Dataset(ds.x, np.repeat(ds.noise[None], ds.n_obs, axis=0))
+        base = np.ones((dim, dim)) if singular else random_psd(rng, dim)
+        w = rng.random(80) * 0.9 + 0.1
+        shared, per_obs = WeightedProblem(ds, w), WeightedProblem(stacked, w)
+        c_shared = scaled_update(shared, base)
+        c_per_obs = scaled_update(per_obs, base)
+        np.testing.assert_allclose(c_shared, c_per_obs, rtol=1e-6)
+        np.testing.assert_allclose(weighted_loglik(shared, c_shared * base),
+                                   weighted_loglik(per_obs, c_per_obs * base), rtol=1e-9)
+        f = solvers._shared_noise_scaled_objective(shared, base)
+        for c in (0.0, 0.5 * c_shared, c_shared, 10.0 * c_shared):
+            np.testing.assert_allclose(f(c), weighted_loglik(shared, c * base), rtol=1e-12)
 
 
 class TestScaleFactorUpdate:
