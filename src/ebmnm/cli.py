@@ -86,18 +86,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _penalty_strength(strength: str, dim: int) -> float:
+    """Parse ``--penalty-strength``: a number, or 'R' for the data dimension."""
+    if strength.strip().upper() == "R":
+        return float(dim)
+    try:
+        return float(strength)
+    except ValueError:
+        raise _UsageError(
+            f"--penalty-strength must be a number or 'R', got {strength!r}"
+        ) from None
+
+
 def _penalty_from_args(kind: str, strength: str, dim: int) -> Penalty:
     if kind == "none":
         return Penalty.none()
-    if strength.strip().upper() == "R":
-        lam = float(dim)
-    else:
-        try:
-            lam = float(strength)
-        except ValueError:
-            raise _UsageError(f"--penalty-strength must be a number or 'R', got {strength!r}")
     maker = Penalty.inverse_wishart if kind == "iw" else Penalty.nuclear_norm
-    return maker(lam)
+    return maker(_penalty_strength(strength, dim))
 
 
 def _derived_seed(base: int, *key: int) -> int:
@@ -146,7 +151,6 @@ def cmd_fit(args) -> int:
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
         warm_start_iterations=args.warm_start,
-        seed=args.seed,
         n_components=init.n_components,
     )
     result = mixture.fit(dataset, init, config)
@@ -253,8 +257,7 @@ def cmd_bench(args) -> int:
     penalties = [p.strip() for p in args.penalties.split(",") if p.strip()]
     if args.n_test < 1:
         raise _UsageError("bench needs --n-test >= 1 to evaluate fits")
-    lam = float(args.R) if args.penalty_strength.strip().upper() == "R" \
-        else float(args.penalty_strength)
+    lam = _penalty_strength(args.penalty_strength, args.R)
     tasks = []
     for si, scenario in enumerate(scenarios):
         for rep in range(args.replicates):
@@ -311,8 +314,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--config", default=None,
                     help="key=value file supplying flag defaults (flags override)")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="worker parallelism cap (0 = all cores); results do not depend on it")
 
 
 def build_parser() -> tuple[_Parser, dict]:
@@ -388,6 +389,8 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--warm-start", type=int, default=20)
     sp.add_argument("--threshold", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=0,
+                    help="worker parallelism cap (0 = all cores); results do not depend on it")
     _add_common(sp)
     sp.set_defaults(func=cmd_bench)
     commands["bench"] = sp

@@ -7,14 +7,18 @@ small dimension (tens of conditions, dimensions beyond a few hundred are
 untested) and potentially large sample counts.
 
 All types are immutable after construction and safe to share across workers.
+A shared noise covariance is factored once per :class:`Dataset`, whose
+cached whitening every shared-noise update of a fit reads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .exceptions import (
@@ -23,6 +27,7 @@ from .exceptions import (
     InvariantViolationError,
     MalformedInputError,
     NotPositiveDefiniteError,
+    UnsupportedNoiseError,
 )
 
 # Mixture weights must sum to one within this absolute tolerance.
@@ -55,6 +60,11 @@ class Dataset:
     noise : ndarray, shape (R, R) or (n, R, R)
         Noise covariance shared by all observations (2-d) or one matrix per
         observation (3-d).  Every matrix must be symmetric positive definite.
+
+    For shared noise ``V = L L^T`` the attributes :attr:`noise_cholesky`,
+    :attr:`noise_whitener` and :attr:`whitened_x` are computed once, on
+    first access, and kept read-only; for per-observation noise they raise
+    ``UnsupportedNoiseError``.
     """
 
     x: np.ndarray
@@ -84,6 +94,31 @@ class Dataset:
     def noise_for(self, j: int) -> np.ndarray:
         """Noise covariance of observation ``j``."""
         return self.noise if self.shared_noise else self.noise[j]
+
+    @cached_property
+    def noise_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor ``L`` of the shared noise ``V = L L^T``."""
+        if not self.shared_noise:
+            raise UnsupportedNoiseError("noise whitening needs a shared noise covariance")
+        lower = linalg.cholesky_with_jitter(self.noise)
+        lower.flags.writeable = False
+        return lower
+
+    @cached_property
+    def noise_whitener(self) -> np.ndarray:
+        """The whitener ``L^{-1}``, so ``L^{-1} V L^{-T} = I``."""
+        whitener = scipy.linalg.solve_triangular(self.noise_cholesky, np.eye(self.dim),
+                                                 lower=True, check_finite=False)
+        whitener.flags.writeable = False
+        return whitener
+
+    @cached_property
+    def whitened_x(self) -> np.ndarray:
+        """Whitened observations, row ``j`` being ``L^{-1} x_j``; shape (n, R)."""
+        xt = scipy.linalg.solve_triangular(self.noise_cholesky, self.x.T, lower=True,
+                                           check_finite=False)
+        xt.flags.writeable = False
+        return xt.T
 
 
 def validate_dataset(dataset: Dataset) -> Dataset:
@@ -320,7 +355,6 @@ class FitConfig:
     max_iterations: int = 2000
     tolerance: float = 0.01
     warm_start_iterations: int = 0
-    seed: int | None = None
     n_components: int | None = None
 
     def __post_init__(self):

@@ -162,15 +162,12 @@ def solve_lower(lower: np.ndarray, b: np.ndarray, trans: bool = False) -> np.nda
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive definite ``a``.
+    """Solve ``a_i x_i = b_i`` for an ``(m, R, R)`` stack of SPD matrices.
 
-    ``a`` may be an ``(m, R, R)`` stack; ``b`` is then ``(m, R, c)`` or an
-    ``(R, c)`` matrix shared by every ``a_i``, and the result is
-    ``(m, R, c)``.
+    ``b`` is ``(m, R, c)`` or an ``(R, c)`` matrix shared by every ``a_i``;
+    the result is ``(m, R, c)``.
     """
     lower = cholesky_with_jitter(a)
-    if lower.ndim == 2:
-        return scipy.linalg.cho_solve((lower, True), b)
     if len(lower) == 1:
         return scipy.linalg.cho_solve((lower[0], True), b.reshape(b.shape[-2:]),
                                       check_finite=False)[None]

@@ -6,6 +6,9 @@ each component's covariance (dispatching on its constraint and the chosen
 algorithm) and its penalty scale factor.  The penalized log-likelihood is
 recorded after every iteration and never decreases, up to a small numerical
 slack, for every supported configuration.
+
+The whitener that measures the ``ted`` penalty is the one cached on the
+:class:`~ebmnm.core.Dataset`, so ``V`` is factored once per dataset.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import logsumexp
 
 from . import linalg, solvers
@@ -51,9 +53,18 @@ def _component_log_densities(dataset: Dataset, covariances) -> np.ndarray:
     return out
 
 
-def _mixture_logpdf(log_weights: np.ndarray, log_dens: np.ndarray) -> np.ndarray:
+def _log_likelihood_from(weights: np.ndarray, log_dens: np.ndarray) -> float:
+    """Exactly summed ``log sum_k pi_k N_jk`` from log-densities ``(n, K)``."""
     with np.errstate(divide="ignore"):
-        return logsumexp(log_weights[None, :] + log_dens, axis=1)
+        per_obs = logsumexp(np.log(weights)[None, :] + log_dens, axis=1)
+    return math.fsum(per_obs.tolist())
+
+
+def _responsibilities_from(weights: np.ndarray, log_dens: np.ndarray) -> np.ndarray:
+    """Normalized ``pi_k N_jk`` from log-densities ``(n, K)``."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)[None, :] + log_dens
+    return np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
 
 
 def log_likelihood(dataset: Dataset, prior: MixturePrior) -> float:
@@ -63,10 +74,8 @@ def log_likelihood(dataset: Dataset, prior: MixturePrior) -> float:
     and an exactly-rounded sum over observations, so duplicated observations
     contribute exactly additively.
     """
-    with np.errstate(divide="ignore"):
-        logw = np.log(prior.weights)
-    per_obs = _mixture_logpdf(logw, _component_log_densities(dataset, prior.covariances))
-    return math.fsum(per_obs.tolist())
+    return _log_likelihood_from(prior.weights,
+                                _component_log_densities(dataset, prior.covariances))
 
 
 def responsibilities(dataset: Dataset, prior: MixturePrior) -> np.ndarray:
@@ -75,11 +84,8 @@ def responsibilities(dataset: Dataset, prior: MixturePrior) -> np.ndarray:
     Row ``j`` is proportional to ``pi_k N(x_j; 0, U_k + V_j)`` and sums
     to one.
     """
-    with np.errstate(divide="ignore"):
-        logw = np.log(prior.weights)[None, :] + _component_log_densities(
-            dataset, prior.covariances
-        )
-    return np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+    return _responsibilities_from(prior.weights,
+                                  _component_log_densities(dataset, prior.covariances))
 
 
 def random_init(dim: int, n_components: int, seed,
@@ -186,12 +192,6 @@ def scaled_update_guarded(problem: solvers.WeightedProblem, base: np.ndarray,
     return current
 
 
-def _noise_whitener(dataset: Dataset) -> np.ndarray:
-    lower = linalg.cholesky_with_jitter(dataset.noise)
-    return scipy.linalg.solve_triangular(lower, np.eye(dataset.dim), lower=True,
-                                         check_finite=False)
-
-
 def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algorithm: str,
               penalty: Penalty, max_iterations: int, tolerance: float | None,
               trace: list | None, t0: float,
@@ -205,13 +205,11 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
     n = dataset.n_obs
     whitener = None
     if penalty.active and free_algorithm == "ted":
-        whitener = _noise_whitener(dataset)
+        whitener = dataset.noise_whitener
 
     def objective(log_dens):
-        with np.errstate(divide="ignore"):
-            logw = np.log(state.weights)
-        ll = math.fsum(_mixture_logpdf(logw, log_dens).tolist())
-        return ll - _penalty_total(state, penalty, whitener)
+        return _log_likelihood_from(state.weights, log_dens) - \
+            _penalty_total(state, penalty, whitener)
 
     if log_dens is None:
         log_dens = _component_log_densities(dataset, state.covariances)
@@ -222,9 +220,7 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
     converged = False
     iteration = 0
     while iteration < max_iterations:
-        with np.errstate(divide="ignore"):
-            logw = np.log(state.weights)[None, :] + log_dens
-        resp = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+        resp = _responsibilities_from(state.weights, log_dens)
         new_weights = resp.sum(axis=0) / n
         state.weights = new_weights / new_weights.sum()
         for k in range(len(state.covariances)):

@@ -19,8 +19,10 @@ Log-densities and the ``ed`` step treat the noise as an ``(m, R, R)`` stack
 (``m = 1`` shared, ``m = n`` per observation) and run one stacked Cholesky
 of ``U + V_j`` plus stacked solves, with no loop over observations; see
 :mod:`ebmnm.linalg`.  Per-observation noise costs ``O(n R^2)`` memory per
-component; shared noise is factored once and never expanded to ``n``
-matrices.
+component; shared noise is never expanded to ``n`` matrices.  The shared
+noise itself is factored once per dataset: ``ted``, the ``scaled`` objective
+and ``fa`` read the Cholesky factor, the whitener and the whitened rows
+cached on :class:`~ebmnm.core.Dataset`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .exceptions import (
     InvariantViolationError,
     NumericalFailureError,
     SingularMatrixError,
-    UnsupportedNoiseError,
     UnsupportedPenaltyError,
 )
 
@@ -228,18 +229,16 @@ def solve_penalized_eigenvalue(d: float, total_weight: float, penalty: Penalty,
 
 
 def _whitened_sample_eigensystem(problem: WeightedProblem):
-    """Cholesky-whiten the data and eigendecompose the weighted covariance."""
+    """Eigendecompose the weighted Gram of the dataset's cached whitened rows.
+
+    Returns the noise Cholesky factor ``L`` and the eigensystem of
+    ``sum_j w_j (L^{-1} x_j)(L^{-1} x_j)^T / W``.
+    """
     dataset = problem.dataset
-    if not dataset.shared_noise:
-        raise UnsupportedNoiseError("ted requires a shared noise covariance")
-    try:
-        lower = np.linalg.cholesky(dataset.noise)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"Cholesky of the noise covariance failed: {exc}") from exc
-    xt = scipy.linalg.solve_triangular(lower, dataset.x.T, lower=True, check_finite=False).T
+    xt = dataset.whitened_x
     w = problem.weights
     s_cov = (xt * w[:, None]).T @ xt / problem.total_weight
-    return lower, linalg.eigh_descending(s_cov)
+    return dataset.noise_cholesky, linalg.eigh_descending(s_cov)
 
 
 def ted_update(problem: WeightedProblem) -> np.ndarray:
@@ -319,7 +318,7 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
     x = dataset.x
     if dataset.shared_noise:
         # With shared noise V factors out of the linear system entirely.
-        viu = linalg.solve_psd(dataset.noise, u)
+        viu = scipy.linalg.cho_solve((dataset.noise_cholesky, True), u)
         sigma2 = 1.0 / (1.0 + float(u @ viu))
         mu = sigma2 * (x @ viu)
         denom = float(w @ (mu * mu + sigma2))
@@ -347,9 +346,7 @@ def _shared_noise_scaled_objective(problem: WeightedProblem, base: np.ndarray):
         phi(c) = const - (W/2) sum_i log(1 + c b_i) - 1/2 sum_i S_i / (1 + c b_i).
     """
     dataset = problem.dataset
-    lower = linalg.cholesky_with_jitter(dataset.noise)
-    whiten = scipy.linalg.solve_triangular(lower, np.eye(dataset.dim), lower=True,
-                                           check_finite=False)
+    lower, whiten = dataset.noise_cholesky, dataset.noise_whitener
     b, q = np.linalg.eigh(linalg.sym(whiten @ base @ whiten.T))
     b = np.maximum(b, 0.0)
     y = dataset.x @ (q.T @ whiten).T

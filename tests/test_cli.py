@@ -81,6 +81,11 @@ class TestFit:
                    str(sim_dir / "noise.csv"), "--algorithm", "ed", "--penalty", "nn",
                    "--out", str(tmp_path / "bad")) == 1
 
+    def test_threads_flag_rejected(self, sim_dir, tmp_path):
+        assert run("fit", "--x", str(sim_dir / "x.csv"), "--noise",
+                   str(sim_dir / "noise.csv"), "--threads", "1",
+                   "--out", str(tmp_path / "bad")) == 1
+
     def test_manifest_records_parameters(self, sim_dir, tmp_path):
         out = tmp_path / "fitm"
         assert run("fit", "--x", str(sim_dir / "x.csv"), "--noise",
@@ -205,6 +210,15 @@ class TestBench:
                    "--out", str(out)) == 0
         lines = (out / "bench.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # fa runs unpenalized only
+
+
+    def test_bad_penalty_strength_is_usage_error(self, tmp_path, capsys):
+        code = run("bench", "--scenarios", "hybrid", "--algorithms", "ted",
+                   "--penalties", "iw", "--penalty-strength", "abc", "--n", "20",
+                   "--n-test", "10", "--R", "3", "--K", "2", "--replicates", "1",
+                   "--threads", "1", "--out", str(tmp_path / "bad"))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_psd
-from ebmnm import sim
+from conftest import random_dataset, random_psd
+from ebmnm import linalg, mixture, sim
 from ebmnm.core import (
     ComponentConstraint,
     Dataset,
@@ -24,6 +24,7 @@ from ebmnm.exceptions import (
     InvariantViolationError,
     MalformedInputError,
     NotPositiveDefiniteError,
+    UnsupportedNoiseError,
 )
 
 
@@ -75,6 +76,63 @@ class TestValidateDataset:
         noise = np.stack([random_psd(rng, 3) for _ in range(4)])
         ds = Dataset(rng.standard_normal((4, 3)), noise)
         assert validate_dataset(validate_dataset(ds)) is ds
+
+
+class TestSharedNoiseWhitening:
+    def test_attributes_match_dense_references(self, rng):
+        ds = random_dataset(rng, 50, 4)
+        lower = np.linalg.cholesky(ds.noise)
+        whitener = np.linalg.inv(lower)
+        np.testing.assert_allclose(ds.noise_cholesky, lower, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ds.noise_whitener, whitener, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ds.whitened_x, ds.x @ whitener.T, rtol=0, atol=1e-12)
+
+    def test_attributes_are_cached_and_read_only(self, rng):
+        ds = random_dataset(rng, 10, 3)
+        for name in ("noise_cholesky", "noise_whitener", "whitened_x"):
+            value = getattr(ds, name)
+            assert getattr(ds, name) is value
+            with pytest.raises(ValueError):
+                value[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["noise_cholesky", "noise_whitener", "whitened_x"])
+    def test_per_observation_noise_rejected(self, rng, name):
+        ds = random_dataset(rng, 5, 3, shared=False)
+        with pytest.raises(UnsupportedNoiseError):
+            getattr(ds, name)
+
+    @staticmethod
+    def _mixed_fit(ds, seed=2):
+        r, k = ds.dim, 4
+        constraints = (ComponentConstraint.free(), ComponentConstraint.free(),
+                       ComponentConstraint.rank1(), ComponentConstraint.scaled(np.ones((r, r))))
+        init = mixture.random_init(r, k, seed, constraints)
+        config = FitConfig("ted", Penalty.inverse_wishart(float(r)), max_iterations=8,
+                           tolerance=1e-12, warm_start_iterations=2)
+        return mixture.fit(ds, init, config)
+
+    def test_fit_factors_the_noise_once(self, rng, monkeypatch):
+        ds = random_dataset(rng, 200, 3)
+        factored = []
+        original = linalg.cholesky_with_jitter
+
+        def counting(a):
+            if a is ds.noise:
+                factored.append(1)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "cholesky_with_jitter", counting)
+        self._mixed_fit(ds)
+        assert len(factored) == 1
+
+    def test_reused_dataset_fits_like_a_fresh_copy(self, rng):
+        ds = random_dataset(rng, 200, 3)
+        first, second = self._mixed_fit(ds), self._mixed_fit(ds)
+        fresh = self._mixed_fit(Dataset(ds.x.copy(), ds.noise.copy()))
+        for result in (first, second):
+            np.testing.assert_array_equal(result.trace.objective, fresh.trace.objective)
+            np.testing.assert_array_equal(result.prior.covariances, fresh.prior.covariances)
+            np.testing.assert_array_equal(result.prior.scales, fresh.prior.scales)
 
 
 class TestMixturePriorInvariants:
