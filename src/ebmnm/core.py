@@ -14,6 +14,7 @@ cached whitening every shared-noise update of a fit reads.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +65,8 @@ class Dataset:
     For shared noise ``V = L L^T`` the attributes :attr:`noise_cholesky`,
     :attr:`noise_whitener` and :attr:`whitened_x` are computed once, on
     first access, and kept read-only; for per-observation noise they raise
-    ``UnsupportedNoiseError``.
+    ``UnsupportedNoiseError``.  A dataset likewise records that it passed
+    :func:`validate_dataset`, so later calls do not repeat the checks.
     """
 
     x: np.ndarray
@@ -120,9 +122,18 @@ class Dataset:
         xt.flags.writeable = False
         return xt.T
 
+    @cached_property
+    def _validated(self) -> Dataset:
+        """The dataset, once :func:`_check_dataset` has passed; a failure is not kept."""
+        _check_dataset(self)
+        return self
+
 
 def validate_dataset(dataset: Dataset) -> Dataset:
     """Check all :class:`Dataset` invariants, returning the dataset unchanged.
+
+    The arrays of a dataset cannot change, so the checks run on its first
+    validation only.
 
     Raises
     ------
@@ -135,6 +146,11 @@ def validate_dataset(dataset: Dataset) -> Dataset:
     MalformedInputError
         If any entry is not finite.
     """
+    return dataset._validated
+
+
+def _check_dataset(dataset: Dataset) -> None:
+    """The checks of :func:`validate_dataset`."""
     x, noise = dataset.x, dataset.noise
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
@@ -175,7 +191,6 @@ def validate_dataset(dataset: Dataset) -> Dataset:
                 raise NotPositiveDefiniteError(
                     f"noise matrix {j} failed the Cholesky check"
                 ) from None
-    return dataset
 
 
 @dataclass(frozen=True)
@@ -362,6 +377,12 @@ class FitConfig:
 
         if self.algorithm not in ALGORITHMS:
             raise InvalidConfigError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("max_iterations", "warm_start_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.tolerance, numbers.Real) or isinstance(self.tolerance, bool):
+            raise InvalidConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise InvalidConfigError("max_iterations must be at least 1")
         if not (self.tolerance > 0):

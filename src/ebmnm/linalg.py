@@ -5,12 +5,11 @@ wraps LAPACK routines with the tolerance conventions used by the rest of the
 code: eigenvalues above ``-PSD_RTOL`` times the spectral radius count as
 nonnegative, and Cholesky factorizations get one jitter retry before failing.
 
-Noise is handled as an ``(m, R, R)`` stack that broadcasts against the data:
-``m = 1`` for a covariance shared by all observations, ``m = n`` for one
-covariance per observation.  The data are then grouped as ``(m, n/m, R)``
-rows, so both cases run through the same stacked factorizations and solves;
-a shared covariance is factored once and solved against all ``n`` columns,
-and no ``(n, R, R)`` array is built for it.
+The stacked helpers take an ``(m, R, R)`` noise stack that broadcasts
+against the data grouped as ``(m, n/m, R)`` rows: ``m = n`` for one
+covariance per observation, which is what fits and summaries use them for.
+They accept ``m = 1`` too; a shared noise is otherwise handled in its
+whitened eigenbasis (:class:`ebmnm.solvers.WhitenedComponents`).
 """
 
 from dataclasses import dataclass
@@ -146,8 +145,8 @@ def cholesky_with_jitter(a: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def solve_lower(lower: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """Solve ``L z = b`` (``L^T z = b`` with ``trans``) for stacked factors.
+def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L z = b`` for stacked factors.
 
     ``lower`` is ``(m, R, R)`` lower triangular and ``b`` is ``(m, R, c)``.
     A single factor takes one triangular solve for all ``c`` columns.  A
@@ -156,9 +155,9 @@ def solve_lower(lower: np.ndarray, b: np.ndarray, trans: bool = False) -> np.nda
     checks for non-finite entries; they propagate to the result.
     """
     if len(lower) == 1:
-        return scipy.linalg.solve_triangular(lower[0], b[0], lower=True, trans=int(trans),
+        return scipy.linalg.solve_triangular(lower[0], b[0], lower=True,
                                              check_finite=False)[None]
-    return np.linalg.solve(_t(lower) if trans else lower, b)
+    return np.linalg.solve(lower, b)
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,8 +170,9 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(lower) == 1:
         return scipy.linalg.cho_solve((lower[0], True), b.reshape(b.shape[-2:]),
                                       check_finite=False)[None]
-    b = np.broadcast_to(b, lower.shape[:1] + b.shape[-2:])
-    return solve_lower(lower, solve_lower(lower, b), trans=True)
+    # One batched LU inverts the stacked factors; a_i^{-1} = L_i^{-T} L_i^{-1}.
+    inverse = np.linalg.inv(lower)
+    return _t(inverse) @ (inverse @ b)
 
 
 def mvn_logpdf_zero_mean(x: np.ndarray, cov: np.ndarray) -> np.ndarray:

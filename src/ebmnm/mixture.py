@@ -7,8 +7,12 @@ algorithm) and its penalty scale factor.  The penalized log-likelihood is
 recorded after every iteration and never decreases, up to a small numerical
 slack, for every supported configuration.
 
-The whitener that measures the ``ted`` penalty is the one cached on the
-:class:`~ebmnm.core.Dataset`, so ``V`` is factored once per dataset.
+Each iteration prepares the covariances against the noise once
+(:func:`ebmnm.solvers.prepare_components`).  For shared noise that is one
+stacked eigendecomposition of the K whitened covariances, which gives the
+log-densities, the next ``ed`` steps, and for ``ted`` the penalty and the
+scale updates, whose metric is the noise-whitened one.  ``ed`` with "iw"
+measures its penalty in the data metric through one stacked ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import linalg, solvers
 from .core import (
@@ -44,27 +47,29 @@ class FitResult:
     config: FitConfig
 
 
-def _component_log_densities(dataset: Dataset, covariances) -> np.ndarray:
-    """Matrix of ``log N(x_j; 0, U_k + V_j)`` with shape (n, K)."""
-    n = dataset.n_obs
-    out = np.empty((n, len(covariances)))
-    for k, cov in enumerate(covariances):
-        out[:, k] = solvers.component_loglik(dataset, cov)
-    return out
+def _log_weighted(weights: np.ndarray, log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log pi_k + log N_jk`` ``(n, K)`` and its row log-sum-exp ``(n, 1)``.
+
+    The sum is shifted by each row's maximum (by 0 where that is not
+    finite), as ``scipy.special.logsumexp`` does.
+    """
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)[None, :] + log_dens
+    top = logw.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return logw, np.log(np.sum(np.exp(logw - top), axis=1, keepdims=True)) + top
 
 
 def _log_likelihood_from(weights: np.ndarray, log_dens: np.ndarray) -> float:
     """Exactly summed ``log sum_k pi_k N_jk`` from log-densities ``(n, K)``."""
-    with np.errstate(divide="ignore"):
-        per_obs = logsumexp(np.log(weights)[None, :] + log_dens, axis=1)
-    return math.fsum(per_obs.tolist())
+    return math.fsum(_log_weighted(weights, log_dens)[1].ravel().tolist())
 
 
 def _responsibilities_from(weights: np.ndarray, log_dens: np.ndarray) -> np.ndarray:
     """Normalized ``pi_k N_jk`` from log-densities ``(n, K)``."""
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)[None, :] + log_dens
-    return np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+    logw, total = _log_weighted(weights, log_dens)
+    return np.exp(logw - total)
 
 
 def log_likelihood(dataset: Dataset, prior: MixturePrior) -> float:
@@ -74,8 +79,8 @@ def log_likelihood(dataset: Dataset, prior: MixturePrior) -> float:
     and an exactly-rounded sum over observations, so duplicated observations
     contribute exactly additively.
     """
-    return _log_likelihood_from(prior.weights,
-                                _component_log_densities(dataset, prior.covariances))
+    return _log_likelihood_from(
+        prior.weights, solvers.prepare_components(dataset, prior.covariances).log_densities())
 
 
 def responsibilities(dataset: Dataset, prior: MixturePrior) -> np.ndarray:
@@ -84,8 +89,8 @@ def responsibilities(dataset: Dataset, prior: MixturePrior) -> np.ndarray:
     Row ``j`` is proportional to ``pi_k N(x_j; 0, U_k + V_j)`` and sums
     to one.
     """
-    return _responsibilities_from(prior.weights,
-                                  _component_log_densities(dataset, prior.covariances))
+    return _responsibilities_from(
+        prior.weights, solvers.prepare_components(dataset, prior.covariances).log_densities())
 
 
 def random_init(dim: int, n_components: int, seed,
@@ -135,87 +140,86 @@ def _rank1_vector(cov: np.ndarray) -> np.ndarray:
     return np.sqrt(max(es.values[0], 0.0)) * es.vectors[:, 0]
 
 
-def _penalty_total(state: _State, penalty: Penalty, whitener: np.ndarray | None) -> float:
-    """Sum of ``rho(U_k / s_k)`` over penalized (free) components.
+def _penalty_spectra(components, penalty: Penalty, whitened: bool) -> np.ndarray | None:
+    """Eigenvalues ``(K, R)`` of each covariance in the penalty's metric.
 
-    ``whitener`` transforms each covariance into the metric the penalty is
-    measured in (the noise-whitened basis for ted, identity otherwise).
+    The noise-whitened metric (``ted``) reads the spectra the E-step
+    already has; the data metric takes one stacked ``eigvalsh``.
     """
     if not penalty.active:
+        return None
+    if whitened:
+        return components.values
+    return np.linalg.eigvalsh(linalg.sym(components.covariances))
+
+
+def _penalty_total(state: _State, penalty: Penalty, spectra: np.ndarray | None) -> float:
+    """Sum of ``rho(U_k / s_k)`` over penalized (free) components."""
+    if not penalty.active:
         return 0.0
-    total = 0.0
-    for cov, scale, constraint in zip(state.covariances, state.scales, state.constraints):
-        if constraint.kind != "free":
-            continue
-        mat = cov if whitener is None else whitener @ cov @ whitener.T
-        total += solvers.penalty_value(penalty, mat, scale)
-    return total
+    return sum(solvers.penalty_from_eigenvalues(penalty, e, scale)
+               for e, scale, constraint in zip(spectra, state.scales, state.constraints)
+               if constraint.kind == "free")
 
 
-def _update_component(dataset: Dataset, state: _State, k: int, resp_k: np.ndarray,
-                      free_algorithm: str, rank1_algorithm: str, penalty: Penalty,
-                      whitener: np.ndarray | None) -> None:
+def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
+                      free_algorithm: str, rank1_algorithm: str, components) -> None:
+    """Replace covariance ``k``; ``components`` holds the current covariances."""
     constraint = state.constraints[k]
     if constraint.kind == "scaled":
-        problem = solvers.WeightedProblem(dataset, resp_k, state.scales[k])
-        old = state.covariances[k]
-        new = scaled_update_guarded(problem, constraint.base, old)
-        state.covariances[k] = new
-        return
-    if constraint.kind == "rank1":
-        problem = solvers.WeightedProblem(dataset, resp_k, state.scales[k])
+        state.covariances[k] = scaled_update_guarded(problem, constraint.base,
+                                                     state.covariances[k])
+    elif constraint.kind == "rank1":
         if rank1_algorithm == "fa":
             u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
             state.covariances[k] = np.outer(u, u)
         else:
             state.covariances[k] = solvers.ted_rank1_update(problem)
-        return
-    problem = solvers.WeightedProblem(dataset, resp_k, state.scales[k], penalty)
-    if free_algorithm == "ted":
+    elif free_algorithm == "ted":
         state.covariances[k] = solvers.ted_update(problem)
     else:
-        state.covariances[k] = solvers.ed_update(problem, state.covariances[k])
-    if penalty.active:
-        mat = state.covariances[k]
-        if whitener is not None:
-            mat = whitener @ mat @ whitener.T
-        state.scales[k] = solvers.scale_factor_update(solvers.floor_spectrum(mat), penalty)
+        state.covariances[k] = solvers.ed_update(problem, state.covariances[k], components, k)
 
 
 def scaled_update_guarded(problem: solvers.WeightedProblem, base: np.ndarray,
                           current: np.ndarray) -> np.ndarray:
-    """Scaled-constraint update that never moves to a worse objective."""
-    c = solvers.scaled_update(problem, base)
-    new = c * base
-    if solvers.weighted_loglik(problem, new) >= solvers.weighted_loglik(problem, current):
-        return new
-    return current
+    """Scaled-constraint update that never moves to a worse objective.
+
+    ``current`` is a multiple of ``base``; old and new multiples are compared
+    with the :func:`~ebmnm.solvers.scaled_objective`.
+    """
+    f = solvers.scaled_objective(problem, base)
+    c = solvers.scaled_update(problem, base, f)
+    c_old = float(np.sum(current * base)) / float(np.sum(base * base))
+    new, old = f(np.array([c, c_old]))
+    return c * base if new >= old else current
 
 
 def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algorithm: str,
               penalty: Penalty, max_iterations: int, tolerance: float | None,
-              trace: list | None, t0: float,
-              log_dens: np.ndarray | None = None) -> tuple[bool, int, np.ndarray]:
+              trace: list | None, t0: float, evaluation: tuple | None = None
+              ) -> tuple[bool, int, tuple]:
     """Run EM iterations in place.
 
-    ``log_dens``, if given, must be the component log-densities of the
-    current state.  Returns (converged, iterations run, log-densities of
-    the final state).
+    ``evaluation``, if given, must be the ``(components, log-densities)``
+    of the current state.  Returns (converged, iterations run, evaluation
+    of the final state).
     """
     n = dataset.n_obs
-    whitener = None
-    if penalty.active and free_algorithm == "ted":
-        whitener = dataset.noise_whitener
+    whitened_penalty = free_algorithm == "ted"
 
-    def objective(log_dens):
+    def evaluate():
+        components = solvers.prepare_components(dataset, np.stack(state.covariances))
+        return components, components.log_densities()
+
+    def objective(log_dens, spectra):
         return _log_likelihood_from(state.weights, log_dens) - \
-            _penalty_total(state, penalty, whitener)
+            _penalty_total(state, penalty, spectra)
 
-    if log_dens is None:
-        log_dens = _component_log_densities(dataset, state.covariances)
+    components, log_dens = evaluation or evaluate()
     previous = None
     if trace is not None:
-        previous = objective(log_dens)
+        previous = objective(log_dens, _penalty_spectra(components, penalty, whitened_penalty))
         trace.append((0, previous, time.perf_counter() - t0))
     converged = False
     iteration = 0
@@ -223,24 +227,34 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         resp = _responsibilities_from(state.weights, log_dens)
         new_weights = resp.sum(axis=0) / n
         state.weights = new_weights / new_weights.sum()
-        for k in range(len(state.covariances)):
-            # Dead components (negligible weight or responsibility mass) keep
-            # their covariance and scale untouched.
-            if state.weights[k] < DEAD_COMPONENT_WEIGHT or \
-                    resp[:, k].sum() < DEAD_COMPONENT_WEIGHT:
-                continue
-            _update_component(dataset, state, k, resp[:, k], free_algorithm,
-                              rank1_algorithm, penalty, whitener)
+        # Dead components (negligible weight or responsibility mass) keep
+        # their covariance and scale untouched.
+        live = np.flatnonzero((state.weights >= DEAD_COMPONENT_WEIGHT)
+                              & (resp.sum(axis=0) >= DEAD_COMPONENT_WEIGHT))
+        solvers.check_responsibilities(dataset, resp[:, live], state.scales[live])
+        rescaled = []
+        for k in live:
+            free = state.constraints[k].kind == "free"
+            problem = solvers.WeightedProblem(dataset, resp[:, k], state.scales[k],
+                                              penalty if free else Penalty.none(),
+                                              checked=True)
+            _update_component(state, k, problem, free_algorithm, rank1_algorithm, components)
+            if free and penalty.active:
+                rescaled.append(k)
         iteration += 1
-        log_dens = _component_log_densities(dataset, state.covariances)
+        components, log_dens = evaluate()
+        spectra = _penalty_spectra(components, penalty, whitened_penalty)
+        for k in rescaled:
+            state.scales[k] = solvers.scale_factor_from_eigenvalues(
+                solvers.floor_eigenvalues(spectra[k]), penalty)
         if trace is not None:
-            current = objective(log_dens)
+            current = objective(log_dens, spectra)
             trace.append((iteration, current, time.perf_counter() - t0))
             if tolerance is not None and current - previous < tolerance:
                 converged = True
                 break
             previous = current
-    return converged, iteration, log_dens
+    return converged, iteration, (components, log_dens)
 
 
 def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
@@ -266,17 +280,17 @@ def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
     config.validate_for(dataset, init)
     state = _State(init)
     t0 = time.perf_counter()
-    log_dens = None
+    evaluation = None
     if config.warm_start_iterations > 0:
         # ed has no closed form under the nuclear-norm penalty; warm starts
         # for nn configurations run unpenalized.
         warm_penalty = config.penalty if config.penalty.kind != "nn" else Penalty.none()
-        _, _, log_dens = _em_phase(dataset, state, "ed", config.algorithm, warm_penalty,
-                                   config.warm_start_iterations, None, None, t0)
+        _, _, evaluation = _em_phase(dataset, state, "ed", config.algorithm, warm_penalty,
+                                     config.warm_start_iterations, None, None, t0)
     records: list = []
     converged, iterations, _ = _em_phase(
         dataset, state, config.algorithm, config.algorithm, config.penalty,
-        config.max_iterations, config.tolerance, records, t0, log_dens,
+        config.max_iterations, config.tolerance, records, t0, evaluation,
     )
     its, objs, secs = zip(*records)
     trace = FitTrace(np.array(its), np.array(objs), np.array(secs), converged, iterations)

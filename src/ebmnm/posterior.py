@@ -7,11 +7,16 @@ From these we compute posterior means, standard deviations and the local
 false sign rate (lfsr), the smaller of the posterior probabilities that a
 coordinate is >= 0 or <= 0.
 
-The moments run as one batched kernel per component: a stacked Cholesky of
-``U_k + V_j`` over the ``(m, R, R)`` noise stack (``m = 1`` shared, ``m = n``
-per observation), stacked solves, and a stacked eigendecomposition that
-clamps each posterior covariance to PSD on its own.  ``posterior_mixture``
-is the same kernel on a one-row slice.
+The covariances are prepared against the noise once
+(:func:`ebmnm.solvers.prepare_components`), and the same set gives the
+responsibilities and the moments.  For a shared noise ``V = L L^T`` with
+``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` and ``P_k = Q_k diag(e_k /
+(1 + e_k)) Q_k^T``, the means are ``L P_k L^{-1} x_j`` and every observation
+shares the covariance ``L P_k L^T`` (``e_k`` clamped at 0), so nothing is
+factored beyond the noise.  Per-observation noise runs the stacked kernel:
+a stacked Cholesky of ``U_k + V_j``, stacked solves, and a stacked
+eigendecomposition that clamps each posterior covariance to PSD on its own.
+``posterior_mixture`` is the same computation on a one-row slice.
 
 Sign convention at point masses: a component with zero variance and zero
 mean at a coordinate contributes its full weight to BOTH one-sided
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import linalg, mixture
+from . import mixture, solvers
 from .core import Dataset, MixturePrior
 from .exceptions import DimensionMismatchError
 
@@ -57,26 +62,13 @@ def _check_dims(dataset: Dataset, prior: MixturePrior) -> None:
         )
 
 
-def _component_moments(cov: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means ``(n, R)`` and covariances ``(m, R, R)`` for one component.
-
-    Row ``j`` of the means is ``U (U+V_j)^{-1} x_j``; covariance ``i`` of the
-    noise stack is ``U (U+V_i)^{-1} V_i``, clamped to PSD.
-    """
-    noise = dataset.noise_stack
-    r = dataset.dim
-    z = linalg.solve_psd(cov + noise, cov)                  # (U+V)^{-1} U
-    means = (dataset.x.reshape(len(noise), -1, r) @ z).reshape(-1, r)   # rows U (U+V)^{-1} x_j
-    post_cov = linalg.clamp_psd(z.swapaxes(1, 2) @ noise)   # U - U (U+V)^{-1} U = U (U+V)^{-1} V
-    return means, post_cov
-
-
 def posterior_mixture(dataset: Dataset, prior: MixturePrior, j: int) -> PosteriorMixture:
     """Exact posterior mixture for observation ``j``."""
     _check_dims(dataset, prior)
-    single = Dataset(dataset.x[j:j + 1], dataset.noise_for(j))
-    weights = mixture.responsibilities(single, prior)[0]
-    moments = [_component_moments(cov, single) for cov in prior.covariances]
+    single = solvers.prepare_components(Dataset(dataset.x[j:j + 1], dataset.noise_for(j)),
+                                        prior.covariances)
+    weights = mixture._responsibilities_from(prior.weights, single.log_densities())[0]
+    moments = [single.posterior_moments(k) for k in range(prior.n_components)]
     means = np.stack([m[0] for m, _ in moments])
     covs = np.stack([c[0] for _, c in moments])
     return PosteriorMixture(weights, means, covs)
@@ -125,14 +117,19 @@ def summarize(dataset: Dataset, prior: MixturePrior) -> PosteriorSummary:
     marginals.
     """
     _check_dims(dataset, prior)
-    resp = mixture.responsibilities(dataset, prior)
-    n, r = dataset.x.shape
+    return _summary(solvers.prepare_components(dataset, prior.covariances), prior.weights)
+
+
+def _summary(components, weights: np.ndarray) -> PosteriorSummary:
+    """:func:`summarize` from a :func:`~ebmnm.solvers.prepare_components` set."""
+    resp = mixture._responsibilities_from(weights, components.log_densities())
+    n, r = components.dataset.x.shape
     mean = np.zeros((n, r))
     second = np.zeros((n, r))
     pos = np.zeros((n, r))
     neg = np.zeros((n, r))
-    for k, cov in enumerate(prior.covariances):
-        means_k, cov_k = _component_moments(cov, dataset)
+    for k in range(len(weights)):
+        means_k, cov_k = components.posterior_moments(k)
         var_k = np.maximum(np.diagonal(cov_k, axis1=1, axis2=2), 0.0)   # (m, R)
         wk = resp[:, k][:, None]
         mean += wk * means_k
@@ -144,14 +141,23 @@ def summarize(dataset: Dataset, prior: MixturePrior) -> PosteriorSummary:
     return PosteriorSummary(mean=mean, sd=np.sqrt(variance), lfsr=np.minimum(pos, neg))
 
 
+# Table rows formatted by one ``%`` operation; bounds the memory held at once.
+SUMMARY_BLOCK_ROWS = 2048
+
+
 def save_summary(summary: PosteriorSummary, dataset: Dataset, path) -> None:
-    """Write one CSV row per (observation, coordinate) pair."""
-    n, r = summary.mean.shape
+    """Write one CSV row per (observation, coordinate) pair.
+
+    Values are written with ``%.17g``, so they read back exactly.
+    """
+    r = summary.mean.shape[1]
+    columns = [dataset.x.ravel(), summary.mean.ravel(), summary.sd.ravel(),
+               summary.lfsr.ravel()]
     with open(path, "w") as fh:
         fh.write("observation,coordinate,x,posterior_mean,posterior_sd,lfsr\n")
-        for j in range(n):
-            for c in range(r):
-                fh.write(
-                    f"{j},{c},{dataset.x[j, c]:.17g},{summary.mean[j, c]:.17g},"
-                    f"{summary.sd[j, c]:.17g},{summary.lfsr[j, c]:.17g}\n"
-                )
+        for start in range(0, summary.mean.size, SUMMARY_BLOCK_ROWS):
+            cell = np.arange(start, min(start + SUMMARY_BLOCK_ROWS, summary.mean.size))
+            # Indices travel as floats (exact below 2^53) and print through %d.
+            block = np.column_stack([cell // r, cell % r]
+                                    + [c[cell[0]:cell[-1] + 1] for c in columns])
+            fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))

@@ -11,23 +11,25 @@ transformed weighted sample covariance; each penalized eigenvalue is the
 best positive root of a cubic ("iw") or quartic ("nn") stationarity
 polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
-``scaled_update`` handles the one-dimensional problem ``U = c * base``; for
-shared noise its objective is diagonal in the basis that whitens the noise
-and diagonalizes ``base``, so each evaluation costs O(R).
+``scaled_update`` handles the one-dimensional problem ``U = c * base``.
 
-Log-densities and the ``ed`` step treat the noise as an ``(m, R, R)`` stack
-(``m = 1`` shared, ``m = n`` per observation) and run one stacked Cholesky
-of ``U + V_j`` plus stacked solves, with no loop over observations; see
-:mod:`ebmnm.linalg`.  Per-observation noise costs ``O(n R^2)`` memory per
-component; shared noise is never expanded to ``n`` matrices.  The shared
-noise itself is factored once per dataset: ``ted``, the ``scaled`` objective
-and ``fa`` read the Cholesky factor, the whitener and the whitened rows
-cached on :class:`~ebmnm.core.Dataset`.
+:func:`prepare_components` is the one place where the kind of noise picks
+how covariances meet it.  For a shared noise ``V = L L^T`` it returns
+:class:`WhitenedComponents`: one stacked eigendecomposition
+``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` of all K components, after
+which log-densities, the ``ed`` step, the ``scaled`` objective and the
+posterior moments are diagonal formulas in each ``Q_k`` basis, read against
+the whitened rows ``L^{-1} x_j`` cached on :class:`~ebmnm.core.Dataset`.  No
+``U_k + V`` is factored, and ``V`` itself is factored once per dataset.  For
+per-observation noise it returns :class:`StackedComponents`, which runs the
+stacked ``(m, R, R)`` kernel of :mod:`ebmnm.linalg` (a stacked Cholesky of
+``U_k + V_j`` plus stacked solves, no loop over observations, ``O(n R^2)``
+memory per component).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -54,25 +56,22 @@ class WeightedProblem:
 
     ``weights`` are per-observation responsibilities in [0, 1] with positive
     sum; ``scale`` is the component's current penalty scale factor.
+    ``checked=True`` skips those checks, for a caller that has already run
+    :func:`check_responsibilities` on the matrix the weights come from.
     """
 
     dataset: Dataset
     weights: np.ndarray
     scale: float = 1.0
     penalty: Penalty = Penalty.none()
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] != self.dataset.n_obs:
-            raise InvariantViolationError(
-                f"weights must have one entry per observation, got shape {w.shape}"
-            )
-        if np.any(w < 0) or np.any(w > 1 + 1e-12):
-            raise InvariantViolationError("weights must lie in [0, 1]")
-        if not (w.sum() > 0):
-            raise InvariantViolationError("weights must not all be zero")
-        if not (self.scale > 0):
-            raise InvariantViolationError("scale must be positive")
+        if not checked:
+            if w.ndim != 1:
+                raise InvariantViolationError(f"weights must be 1-d, got shape {w.shape}")
+            check_responsibilities(self.dataset, w[:, None], np.array([self.scale]))
         object.__setattr__(self, "weights", w)
 
     @property
@@ -80,9 +79,210 @@ class WeightedProblem:
         return float(self.weights.sum())
 
 
+def check_responsibilities(dataset: Dataset, resp: np.ndarray, scales: np.ndarray) -> None:
+    """The :class:`WeightedProblem` checks, run once on an ``(n, K)`` matrix.
+
+    Column ``k`` holds the weights of the problem with scale ``scales[k]``.
+    """
+    if resp.ndim != 2 or resp.shape[0] != dataset.n_obs:
+        raise InvariantViolationError(
+            f"weights must have one row per observation, got shape {resp.shape}"
+        )
+    if np.any(resp < 0) or np.any(resp > 1 + 1e-12):
+        raise InvariantViolationError("weights must lie in [0, 1]")
+    if not np.all(resp.sum(axis=0) > 0):
+        raise InvariantViolationError("weights must not all be zero")
+    if not np.all(np.asarray(scales) > 0):
+        raise InvariantViolationError("scale must be positive")
+
+
+class WhitenedComponents:
+    """Covariances ``U_k`` in the eigenbasis that whitens a shared noise.
+
+    With ``V = L L^T``, one stacked eigendecomposition gives
+    ``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` (``values`` ``(K, R)``,
+    ascending, and ``vectors`` ``(K, R, R)``).  In the rotated whitened
+    coordinates ``z_jk = Q_k^T L^{-1} x_j`` every quantity is diagonal:
+
+        log N(x_j; 0, U_k + V) = c - 1/2 [sum log1p(e_k) + sum z_jk^2 / (1 + e_k)]
+
+    and the whitened posterior covariance of the effect is
+    ``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``.
+    """
+
+    def __init__(self, dataset: Dataset, covariances: np.ndarray):
+        self.dataset = dataset
+        self.covariances = np.asarray(covariances, dtype=float)
+        whiten = dataset.noise_whitener
+        try:
+            self.values, self.vectors = np.linalg.eigh(
+                linalg.sym(whiten @ self.covariances @ whiten.T))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+        if not np.all(1.0 + self.values > 0):
+            raise NumericalFailureError("a covariance plus the noise is not positive definite")
+
+    def _constant(self) -> float:
+        """``-1/2 (R log 2 pi + log det V)``."""
+        logdet = 2.0 * float(np.sum(np.log(np.diagonal(self.dataset.noise_cholesky))))
+        return -0.5 * (self.dataset.dim * np.log(2.0 * np.pi) + logdet)
+
+    def log_densities(self) -> np.ndarray:
+        """``log N(x_j; 0, U_k + V)`` with shape (n, K), one GEMM per component."""
+        xt = self.dataset.whitened_x
+        out = np.empty((len(xt), len(self.values)))
+        const = self._constant()
+        for k, (e, q) in enumerate(zip(self.values, self.vectors)):
+            y = xt @ (q / np.sqrt(1.0 + e))
+            out[:, k] = const - 0.5 * (np.sum(np.log1p(e)) + np.einsum("ij,ij->i", y, y))
+        return out
+
+    def _shrinkage(self, k: int, clamp: bool = False) -> np.ndarray:
+        """``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``, with ``e_k`` clamped at 0 if asked."""
+        e = np.maximum(self.values[k], 0.0) if clamp else self.values[k]
+        q = self.vectors[k]
+        return linalg.sym((q * (e / (1.0 + e))) @ q.T)
+
+    def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
+        """The ``ed`` step ``(W P_k + P_k S_k P_k) / W`` in whitened coordinates.
+
+        ``S_k`` is the weighted Gram of the whitened rows; "iw" adds
+        ``lam s L^{-1} L^{-T}`` (the data-metric ``lam s I``) to the
+        numerator and ``lam`` to the denominator.  Mapped back through ``L``.
+        """
+        dataset = self.dataset
+        xt = dataset.whitened_x
+        p = self._shrinkage(k)
+        total = problem.total_weight
+        gram = (xt * problem.weights[:, None]).T @ xt
+        moment = total * p + p @ gram @ p
+        if problem.penalty.active:
+            lam, whiten = problem.penalty.lam, dataset.noise_whitener
+            new = (moment + lam * problem.scale * (whiten @ whiten.T)) / (total + lam)
+        else:
+            new = moment / total
+        lower = dataset.noise_cholesky
+        return linalg.sym(lower @ linalg.sym(new) @ lower.T)
+
+    def scaled_objective(self, k: int, problem: WeightedProblem):
+        """``c -> phi(c * U_k; w)`` over an array of ``c``, O(R) per value.
+
+        ``c U_k + V = L Q_k (I + c diag(b)) Q_k^T L^T`` with ``b = e_k``
+        clamped at 0 (``U_k`` may be singular), so with
+        ``S_i = sum_j w_j z_jki^2`` and ``c0 = -1/2 (R log 2 pi + log det V)``:
+
+            phi(c) = W c0 - (W/2) sum_i log(1 + c b_i) - 1/2 sum_i S_i / (1 + c b_i).
+        """
+        b = np.maximum(self.values[k], 0.0)
+        y = self.dataset.whitened_x @ self.vectors[k]
+        s_w = problem.weights @ (y * y)
+        w = problem.total_weight
+        const = w * self._constant()
+
+        def f(c):
+            cb = np.asarray(c, dtype=float)[..., None] * b
+            return const - 0.5 * w * np.sum(np.log1p(cb), axis=-1) \
+                - 0.5 * np.sum(s_w / (1.0 + cb), axis=-1)
+
+        return f
+
+    def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means ``(n, R)`` and the one posterior covariance ``(1, R, R)``.
+
+        Means are ``L P_k L^{-1} x_j``; the covariance ``L P_k L^T`` takes
+        ``e_k`` clamped at 0, so it is PSD and a zero component gives exact
+        zeros.
+        """
+        lower = self.dataset.noise_cholesky
+        means = self.dataset.whitened_x @ (self._shrinkage(k) @ lower.T)
+        return means, linalg.sym(lower @ self._shrinkage(k, clamp=True) @ lower.T)[None]
+
+
+class StackedComponents:
+    """Covariances ``U_k`` against the ``(m, R, R)`` noise stack.
+
+    Runs the stacked kernel of :mod:`ebmnm.linalg`: a stacked Cholesky of
+    ``U_k + V_j`` and stacked solves, with the data grouped as
+    ``(m, n/m, R)`` rows.  Used for per-observation noise; on a shared noise
+    it is the same kernel on a 1-stack.
+    """
+
+    def __init__(self, dataset: Dataset, covariances: np.ndarray):
+        self.dataset = dataset
+        self.covariances = np.asarray(covariances, dtype=float)
+
+    def log_densities(self) -> np.ndarray:
+        """``log N(x_j; 0, U_k + V_j)`` with shape (n, K)."""
+        x, noise = self.dataset.x, self.dataset.noise_stack
+        out = np.empty((len(x), len(self.covariances)))
+        for k, u in enumerate(self.covariances):
+            out[:, k] = linalg.mvn_logpdf_zero_mean(x, u + noise)
+        return out
+
+    def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
+        """Average of ``B_j + b_j b_j^T`` over the stack (see :func:`ed_update`)."""
+        dataset = self.dataset
+        u = self.covariances[k]
+        total = problem.total_weight
+        r = dataset.dim
+        noise = dataset.noise_stack                          # (m, R, R)
+        rows = dataset.x.reshape(len(noise), -1, r)          # (m, n/m, R)
+        w = problem.weights.reshape(len(noise), -1, 1)
+        z = linalg.solve_psd(u + noise, u)                   # (U+V_j)^{-1} U
+        p = z.swapaxes(1, 2)                                 # U (U+V_j)^{-1}
+        b_cov = linalg.sym(u - p @ u)
+        s_w = (rows * w).swapaxes(1, 2) @ rows               # sum_j w_j x_j x_j^T per matrix
+        moment = np.sum(w.sum(axis=1)[:, :, None] * b_cov + p @ s_w @ p.swapaxes(1, 2), axis=0)
+        if problem.penalty.active:
+            lam = problem.penalty.lam
+            new = (moment + lam * problem.scale * np.eye(r)) / (total + lam)
+        else:
+            new = moment / total
+        return linalg.sym(new)
+
+    def scaled_objective(self, k: int, problem: WeightedProblem):
+        """``c -> phi(c * U_k; w)`` over an array of ``c``, one kernel pass per value."""
+        base = self.covariances[k]
+
+        def f(c):
+            c = np.asarray(c, dtype=float)
+            values = [problem.weights @ StackedComponents(self.dataset, ci * base[None])
+                      .log_densities()[:, 0] for ci in c.ravel()]
+            return np.reshape(values, c.shape)[()]
+
+        return f
+
+    def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means ``(n, R)`` and covariances ``(m, R, R)``.
+
+        Row ``j`` of the means is ``U (U+V_j)^{-1} x_j``; covariance ``i`` of
+        the stack is ``U (U+V_i)^{-1} V_i``, clamped to PSD.
+        """
+        cov = self.covariances[k]
+        noise = self.dataset.noise_stack
+        r = self.dataset.dim
+        z = linalg.solve_psd(cov + noise, cov)                  # (U+V)^{-1} U
+        means = (self.dataset.x.reshape(len(noise), -1, r) @ z).reshape(-1, r)
+        post_cov = linalg.clamp_psd(z.swapaxes(1, 2) @ noise)   # U - U (U+V)^{-1} U = U (U+V)^{-1} V
+        return means, post_cov
+
+
+def prepare_components(dataset: Dataset, covariances: np.ndarray):
+    """Covariances ``(K, R, R)`` set up against the dataset's noise.
+
+    The one place where the kind of noise picks the kernel: shared noise
+    gets :class:`WhitenedComponents`, per-observation noise
+    :class:`StackedComponents`.  Both offer ``log_densities()``,
+    ``ed_update(k, problem)``, ``scaled_objective(k, problem)`` and
+    ``posterior_moments(k)``.
+    """
+    kernel = WhitenedComponents if dataset.shared_noise else StackedComponents
+    return kernel(dataset, covariances)
+
+
 def component_loglik(dataset: Dataset, cov: np.ndarray) -> np.ndarray:
     """Per-observation log density ``log N(x_j; 0, cov + V_j)``."""
-    return linalg.mvn_logpdf_zero_mean(dataset.x, cov + dataset.noise)
+    return prepare_components(dataset, np.asarray(cov, dtype=float)[None]).log_densities()[:, 0]
 
 
 def weighted_loglik(problem: WeightedProblem, cov: np.ndarray) -> float:
@@ -113,17 +313,23 @@ def penalty_value(penalty: Penalty, cov: np.ndarray, scale: float) -> float:
     return penalty_from_eigenvalues(penalty, np.linalg.eigvalsh(linalg.sym(cov)), scale)
 
 
-def floor_spectrum(cov: np.ndarray, rtol: float = SPECTRUM_FLOOR_RTOL) -> np.ndarray:
-    """Raise all eigenvalues to at least ``rtol * (spectral radius + 1)``.
+def floor_eigenvalues(e: np.ndarray, rtol: float = SPECTRUM_FLOOR_RTOL) -> np.ndarray:
+    """Raise eigenvalues to at least ``rtol * (spectral radius + 1)``.
 
     The penalties diverge at zero eigenvalues, so their scale updates need a
     strictly positive spectrum.
     """
+    e = np.asarray(e, dtype=float)
+    return np.maximum(e, rtol * (max(float(e.max()), 0.0) + 1.0))
+
+
+def floor_spectrum(cov: np.ndarray, rtol: float = SPECTRUM_FLOOR_RTOL) -> np.ndarray:
+    """``cov`` with its eigenvalues floored by :func:`floor_eigenvalues`."""
     es = linalg.eigh_descending(cov)
-    floor = rtol * (max(es.values[0], 0.0) + 1.0)
-    if es.values[-1] >= floor:
+    floored = floor_eigenvalues(es.values, rtol)
+    if es.values[-1] >= floored[-1]:
         return cov
-    return es.compose(np.maximum(es.values, floor))
+    return es.compose(floored)
 
 
 def _refine_scalar_max(f, grid: np.ndarray, values: np.ndarray, xatol: float) -> float:
@@ -267,7 +473,8 @@ def ted_rank1_update(problem: WeightedProblem) -> np.ndarray:
     return linalg.sym(lower @ es.compose(e) @ lower.T)
 
 
-def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
+def ed_update(problem: WeightedProblem, current: np.ndarray, components=None,
+              k: int = 0) -> np.ndarray:
     """One weighted EM covariance step from the ``current`` estimate.
 
     Averages the per-observation posterior second moments
@@ -275,27 +482,16 @@ def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
     ``B_j = U - U (U + V_j)^{-1} U``.  With the "iw" penalty the step is the
     penalized closed form ``(sum_j w_j (B_j + b_j b_j^T) + lam * s * I) /
     (W + lam)``.  Never decreases the penalized objective.
+
+    ``components``, if given, is the :func:`prepare_components` set that
+    holds ``current`` at index ``k``; a fit passes the one its E-step built.
     """
     if problem.penalty.kind == "nn":
         raise UnsupportedPenaltyError("the nuclear-norm penalty has no closed-form ed update")
-    dataset = problem.dataset
-    u = np.asarray(current, dtype=float)
-    total = problem.total_weight
-    r = dataset.dim
-    noise = dataset.noise_stack                          # (m, R, R)
-    rows = dataset.x.reshape(len(noise), -1, r)          # (m, n/m, R)
-    w = problem.weights.reshape(len(noise), -1, 1)
-    z = linalg.solve_psd(u + noise, u)                   # (U+V_j)^{-1} U
-    p = z.swapaxes(1, 2)                                 # U (U+V_j)^{-1}
-    b_cov = linalg.sym(u - p @ u)
-    s_w = (rows * w).swapaxes(1, 2) @ rows               # sum_j w_j x_j x_j^T per matrix
-    moment = np.sum(w.sum(axis=1)[:, :, None] * b_cov + p @ s_w @ p.swapaxes(1, 2), axis=0)
-    if problem.penalty.active:
-        lam = problem.penalty.lam
-        new = (moment + lam * problem.scale * np.eye(r)) / (total + lam)
-    else:
-        new = moment / total
-    return linalg.sym(new)
+    if components is None:
+        components, k = prepare_components(problem.dataset,
+                                           np.asarray(current, dtype=float)[None]), 0
+    return components.ed_update(k, problem)
 
 
 def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
@@ -335,60 +531,35 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
 
 
-def _shared_noise_scaled_objective(problem: WeightedProblem, base: np.ndarray):
-    """``c -> phi(c * base; w)`` for shared noise in O(R) per evaluation.
+def scaled_objective(problem: WeightedProblem, base: np.ndarray):
+    """``c -> phi(c * base; w)``, taking an array of ``c`` (or one value).
 
-    With ``V = L L^T`` and ``L^{-1} base L^{-T} = Q diag(b) Q^T`` (``b``
-    clamped at 0, since ``base`` may be singular), ``c * base + V =
-    L Q (I + c diag(b)) Q^T L^T``.  In the rotated coordinates
-    ``y_j = Q^T L^{-1} x_j`` with ``S_i = sum_j w_j y_ji^2``:
-
-        phi(c) = const - (W/2) sum_i log(1 + c b_i) - 1/2 sum_i S_i / (1 + c b_i).
+    For shared noise each value costs O(R) in the basis that whitens the
+    noise and diagonalizes ``base``; see
+    :meth:`WhitenedComponents.scaled_objective`.
     """
-    dataset = problem.dataset
-    lower, whiten = dataset.noise_cholesky, dataset.noise_whitener
-    b, q = np.linalg.eigh(linalg.sym(whiten @ base @ whiten.T))
-    b = np.maximum(b, 0.0)
-    y = dataset.x @ (q.T @ whiten).T
-    s_w = problem.weights @ (y * y)
-    w = problem.total_weight
-    logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-    const = -0.5 * w * (dataset.dim * np.log(2.0 * np.pi) + logdet)
-
-    def f(c):
-        cb = c * b
-        return float(const - 0.5 * w * np.sum(np.log1p(cb)) - 0.5 * np.sum(s_w / (1.0 + cb)))
-
-    return f
+    base = np.asarray(base, dtype=float)
+    return prepare_components(problem.dataset, base[None]).scaled_objective(0, problem)
 
 
-def scaled_update(problem: WeightedProblem, base: np.ndarray) -> float:
+def scaled_update(problem: WeightedProblem, base: np.ndarray, objective=None) -> float:
     """Maximize ``phi(c * base; w)`` over ``c >= 0``.
 
     Scans a geometric grid (expanded until the objective stops growing at
-    the upper edge) and polishes the best bracket with bounded Brent.  For
-    shared noise the objective is evaluated in the basis that whitens the
-    noise and diagonalizes ``base`` (see
-    :func:`_shared_noise_scaled_objective`), so each evaluation is O(R);
-    per-observation noise evaluates :func:`component_loglik`.
+    the upper edge) in one call of the :func:`scaled_objective`, which a
+    caller that already has it may pass as ``objective``, and polishes the
+    best bracket with bounded Brent.
     """
     base = np.asarray(base, dtype=float)
-    dataset = problem.dataset
+    f = scaled_objective(problem, base) if objective is None else objective
     w = problem.weights
-
-    if dataset.shared_noise:
-        f = _shared_noise_scaled_objective(problem, base)
-    else:
-        def f(c):
-            return float(w @ component_loglik(dataset, c * base))
-
-    x = dataset.x
+    x = problem.dataset.x
     s_w = float(np.sum((x * w[:, None]) * x)) / problem.total_weight
     guess = max(s_w / max(np.trace(base), 1e-300), 1e-12)
     lo_c, hi_c = 1e-6 * guess, 1e3 * guess
     for _ in range(6):
         grid = np.concatenate([[0.0], np.geomspace(lo_c, hi_c, 80)])
-        values = np.array([f(c) for c in grid])
+        values = f(grid)
         if np.argmax(values) < len(grid) - 1:
             break
         hi_c *= 1e3
@@ -404,7 +575,15 @@ def scale_factor_update(cov: np.ndarray, penalty: Penalty) -> float:
     """
     if not penalty.active:
         return 1.0
-    e = np.linalg.eigvalsh(linalg.sym(np.asarray(cov, dtype=float)))
+    return scale_factor_from_eigenvalues(
+        np.linalg.eigvalsh(linalg.sym(np.asarray(cov, dtype=float))), penalty)
+
+
+def scale_factor_from_eigenvalues(e: np.ndarray, penalty: Penalty) -> float:
+    """:func:`scale_factor_update` from the eigenvalues of ``cov``."""
+    if not penalty.active:
+        return 1.0
+    e = np.asarray(e, dtype=float)
     if np.any(e <= 0):
         raise SingularMatrixError(
             "scale update needs strictly positive eigenvalues; floor the spectrum first"

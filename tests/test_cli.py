@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from ebmnm import core
 from ebmnm.cli import main
 from ebmnm.core import MixturePrior, load_matrix_csv, load_prior, save_prior
 
@@ -47,6 +48,15 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_dataset_validated_once(self, sim_dir, tmp_path, monkeypatch):
+        passes = []
+        original = core._check_dataset
+        monkeypatch.setattr(core, "_check_dataset", lambda ds: passes.append(original(ds)))
+        assert run("fit", "--x", str(sim_dir / "x.csv"), "--noise",
+                   str(sim_dir / "noise.csv"), "--algorithm", "ed", "--components", "3",
+                   "--max-iterations", "3", "--seed", "2", "--out", str(tmp_path / "fit")) == 0
+        assert len(passes) == 1
+
     def test_smoke_with_monotone_trace(self, sim_dir, tmp_path):
         out = tmp_path / "fit"
         assert run("fit", "--x", str(sim_dir / "x.csv"), "--noise",

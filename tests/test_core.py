@@ -308,6 +308,26 @@ class TestFitConfigRules:
         with pytest.raises(InvalidConfigError):
             FitConfig("fa").validate_for(self.shared, self.free)
 
+    @pytest.mark.parametrize("value", [None, "0.01", [0.01], True])
+    def test_tolerance_of_wrong_type_rejected(self, value):
+        with pytest.raises(InvalidConfigError):
+            FitConfig("ted", tolerance=value)
+
+    @pytest.mark.parametrize("value", [None, "5", 5.0, True])
+    def test_max_iterations_of_wrong_type_rejected(self, value):
+        with pytest.raises(InvalidConfigError):
+            FitConfig("ted", max_iterations=value)
+
+    @pytest.mark.parametrize("value", [None, "2", 2.5, False])
+    def test_warm_start_iterations_of_wrong_type_rejected(self, value):
+        with pytest.raises(InvalidConfigError):
+            FitConfig("ted", warm_start_iterations=value)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = FitConfig("ted", max_iterations=np.int64(3), tolerance=np.float64(0.5),
+                        warm_start_iterations=np.int32(1))
+        assert cfg.max_iterations == 3 and cfg.tolerance == 0.5
+
     def test_nn_penalty_requires_ted(self):
         FitConfig("ted", Penalty.nuclear_norm(2.0))
         with pytest.raises(InvalidConfigError):

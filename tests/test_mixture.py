@@ -53,6 +53,21 @@ class TestLogLikelihood:
             naive_log_likelihood(ds, prior), abs=1e-9)
 
 
+class TestLogSumExp:
+    def test_matches_scipy_including_zero_weights(self, rng):
+        from scipy.special import logsumexp
+
+        log_dens = rng.standard_normal((50, 4)) * 300.0
+        weights = np.array([0.5, 0.0, 0.25, 0.25])
+        with np.errstate(divide="ignore"):
+            logw = np.log(weights)[None, :] + log_dens
+        expected = logsumexp(logw, axis=1, keepdims=True)
+        np.testing.assert_allclose(mixture._responsibilities_from(weights, log_dens),
+                                   np.exp(logw - expected), rtol=1e-13, atol=1e-300)
+        assert mixture._log_likelihood_from(weights, log_dens) == pytest.approx(
+            np.sum(expected), rel=1e-14)
+
+
 class TestResponsibilities:
     def test_single_component_is_one(self, rng):
         ds = random_dataset(rng, 6, 2)

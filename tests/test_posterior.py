@@ -13,7 +13,9 @@ from ebmnm.mixture import fit, random_init
 from ebmnm.posterior import (
     PosteriorMixture,
     lfsr,
+    PosteriorSummary,
     posterior_mixture,
+    save_summary,
     summarize,
 )
 
@@ -191,3 +193,33 @@ class TestFittedRank1Lfsr:
         summary = summarize(ds, result.prior)
         spread = summary.lfsr.max(axis=1) - summary.lfsr.min(axis=1)
         assert spread.max() <= 1e-12
+
+
+def _per_cell_summary_writer(summary, dataset, path):
+    """The earlier writer: one f-string per (observation, coordinate) cell."""
+    n, r = summary.mean.shape
+    with open(path, "w") as fh:
+        fh.write("observation,coordinate,x,posterior_mean,posterior_sd,lfsr\n")
+        for j in range(n):
+            for c in range(r):
+                fh.write(
+                    f"{j},{c},{dataset.x[j, c]:.17g},{summary.mean[j, c]:.17g},"
+                    f"{summary.sd[j, c]:.17g},{summary.lfsr[j, c]:.17g}\n"
+                )
+
+
+class TestSaveSummary:
+    @pytest.mark.parametrize("n", [1, 3, 9000])
+    def test_bytes_match_per_cell_writer(self, tmp_path, rng, n):
+        r = 3
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 0.1])
+        x = rng.standard_normal((n, r))
+        mean, sd, lfsr_ = (rng.standard_normal((n, r)) * 10.0 ** rng.integers(-300, 300, (n, r))
+                           for _ in range(3))
+        for a in (mean, sd, lfsr_):
+            a.flat[:min(a.size, len(special))] = special[:a.size]
+        summary = PosteriorSummary(mean, sd, lfsr_)
+        dataset = Dataset(x, np.eye(r))
+        save_summary(summary, dataset, tmp_path / "new.csv")
+        _per_cell_summary_writer(summary, dataset, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -368,9 +368,11 @@ class TestScaledUpdate:
         np.testing.assert_allclose(c_shared, c_per_obs, rtol=1e-6)
         np.testing.assert_allclose(weighted_loglik(shared, c_shared * base),
                                    weighted_loglik(per_obs, c_per_obs * base), rtol=1e-9)
-        f = solvers._shared_noise_scaled_objective(shared, base)
-        for c in (0.0, 0.5 * c_shared, c_shared, 10.0 * c_shared):
-            np.testing.assert_allclose(f(c), weighted_loglik(shared, c * base), rtol=1e-12)
+        f = solvers.scaled_objective(shared, base)
+        grid = np.array([0.0, 0.5 * c_shared, c_shared, 10.0 * c_shared])
+        expected = [weighted_loglik(per_obs, c * base) for c in grid]
+        np.testing.assert_allclose(f(grid), expected, rtol=1e-12)
+        np.testing.assert_allclose([f(c) for c in grid], expected, rtol=1e-12)
 
 
 class TestScaleFactorUpdate:
