@@ -353,6 +353,11 @@ class MixturePrior:
         return self.covariances.shape[1]
 
 
+def _is_real(value) -> bool:
+    """A real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Options controlling a mixture fit.
@@ -379,9 +384,9 @@ class FitConfig:
             raise InvalidConfigError(f"unknown algorithm {self.algorithm!r}")
         for name in ("max_iterations", "warm_start_iterations"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.tolerance, numbers.Real) or isinstance(self.tolerance, bool):
+            if not _is_real(value) or not float(value).is_integer():
+                raise InvalidConfigError(f"{name} must be a whole number, got {value!r}")
+        if not _is_real(self.tolerance):
             raise InvalidConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise InvalidConfigError("max_iterations must be at least 1")

@@ -178,7 +178,7 @@ def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
     elif free_algorithm == "ted":
         state.covariances[k] = solvers.ted_update(problem)
     else:
-        state.covariances[k] = solvers.ed_update(problem, state.covariances[k], components, k)
+        state.covariances[k] = components.ed_update(k, problem)
 
 
 def scaled_update_guarded(problem: solvers.WeightedProblem, base: np.ndarray,
@@ -189,7 +189,7 @@ def scaled_update_guarded(problem: solvers.WeightedProblem, base: np.ndarray,
     with the :func:`~ebmnm.solvers.scaled_objective`.
     """
     f = solvers.scaled_objective(problem, base)
-    c = solvers.scaled_update(problem, base, f)
+    c = solvers._maximize_scaled(problem, base, f)
     c_old = float(np.sum(current * base)) / float(np.sum(base * base))
     new, old = f(np.array([c, c_old]))
     return c * base if new >= old else current
@@ -231,13 +231,11 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         # their covariance and scale untouched.
         live = np.flatnonzero((state.weights >= DEAD_COMPONENT_WEIGHT)
                               & (resp.sum(axis=0) >= DEAD_COMPONENT_WEIGHT))
-        solvers.check_responsibilities(dataset, resp[:, live], state.scales[live])
         rescaled = []
         for k in live:
             free = state.constraints[k].kind == "free"
             problem = solvers.WeightedProblem(dataset, resp[:, k], state.scales[k],
-                                              penalty if free else Penalty.none(),
-                                              checked=True)
+                                              penalty if free else Penalty.none())
             _update_component(state, k, problem, free_algorithm, rank1_algorithm, components)
             if free and penalty.active:
                 rescaled.append(k)

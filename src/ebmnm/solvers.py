@@ -13,8 +13,9 @@ polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
 ``scaled_update`` handles the one-dimensional problem ``U = c * base``.
 
-:func:`prepare_components` is the one place where the kind of noise picks
-how covariances meet it.  For a shared noise ``V = L L^T`` it returns
+:func:`prepare_components` sets covariances up against the noise, and the
+kind of noise picks the kernel class in one place (``_kernel``), which
+``fa_update`` reads as well.  For a shared noise ``V = L L^T`` it returns
 :class:`WhitenedComponents`: one stacked eigendecomposition
 ``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` of all K components, after
 which log-densities, the ``ed`` step, the ``scaled`` objective and the
@@ -29,7 +30,7 @@ memory per component).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -56,44 +57,30 @@ class WeightedProblem:
 
     ``weights`` are per-observation responsibilities in [0, 1] with positive
     sum; ``scale`` is the component's current penalty scale factor.
-    ``checked=True`` skips those checks, for a caller that has already run
-    :func:`check_responsibilities` on the matrix the weights come from.
     """
 
     dataset: Dataset
     weights: np.ndarray
     scale: float = 1.0
     penalty: Penalty = Penalty.none()
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked):
+    def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if not checked:
-            if w.ndim != 1:
-                raise InvariantViolationError(f"weights must be 1-d, got shape {w.shape}")
-            check_responsibilities(self.dataset, w[:, None], np.array([self.scale]))
+        if w.ndim != 1 or w.shape[0] != self.dataset.n_obs:
+            raise InvariantViolationError(
+                f"weights must have one entry per observation, got shape {w.shape}"
+            )
+        if np.any(w < 0) or np.any(w > 1 + 1e-12):
+            raise InvariantViolationError("weights must lie in [0, 1]")
+        if not (w.sum() > 0):
+            raise InvariantViolationError("weights must not all be zero")
+        if not (self.scale > 0):
+            raise InvariantViolationError("scale must be positive")
         object.__setattr__(self, "weights", w)
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-
-def check_responsibilities(dataset: Dataset, resp: np.ndarray, scales: np.ndarray) -> None:
-    """The :class:`WeightedProblem` checks, run once on an ``(n, K)`` matrix.
-
-    Column ``k`` holds the weights of the problem with scale ``scales[k]``.
-    """
-    if resp.ndim != 2 or resp.shape[0] != dataset.n_obs:
-        raise InvariantViolationError(
-            f"weights must have one row per observation, got shape {resp.shape}"
-        )
-    if np.any(resp < 0) or np.any(resp > 1 + 1e-12):
-        raise InvariantViolationError("weights must lie in [0, 1]")
-    if not np.all(resp.sum(axis=0) > 0):
-        raise InvariantViolationError("weights must not all be zero")
-    if not np.all(np.asarray(scales) > 0):
-        raise InvariantViolationError("scale must be positive")
 
 
 class WhitenedComponents:
@@ -186,6 +173,16 @@ class WhitenedComponents:
 
         return f
 
+    @staticmethod
+    def fa_step(problem: WeightedProblem, u: np.ndarray) -> np.ndarray:
+        """:func:`fa_update`; with shared noise V factors out of the linear system."""
+        dataset, w, x = problem.dataset, problem.weights, problem.dataset.x
+        viu = scipy.linalg.cho_solve((dataset.noise_cholesky, True), u)
+        sigma2 = 1.0 / (1.0 + float(u @ viu))
+        mu = sigma2 * (x @ viu)
+        denom = float(w @ (mu * mu + sigma2))
+        return ((w * mu) @ x) / denom
+
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, R)`` and the one posterior covariance ``(1, R, R)``.
 
@@ -252,6 +249,21 @@ class StackedComponents:
 
         return f
 
+    @staticmethod
+    def fa_step(problem: WeightedProblem, u: np.ndarray) -> np.ndarray:
+        """:func:`fa_update`, solving the R x R system of the stacked ``V_j^{-1}``."""
+        dataset, w, x = problem.dataset, problem.weights, problem.dataset.x
+        v_inv = linalg.solve_psd(dataset.noise, np.eye(dataset.dim))
+        viu = v_inv @ u
+        sigma2 = 1.0 / (1.0 + viu @ u)
+        mu = sigma2 * np.sum(viu * x, axis=1)
+        system = np.einsum("j,jab->ab", w * (mu * mu + sigma2), v_inv)
+        rhs = (w * mu) @ (v_inv @ x[:, :, None])[:, :, 0]
+        try:
+            return np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
+
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, R)`` and covariances ``(m, R, R)``.
 
@@ -270,14 +282,17 @@ class StackedComponents:
 def prepare_components(dataset: Dataset, covariances: np.ndarray):
     """Covariances ``(K, R, R)`` set up against the dataset's noise.
 
-    The one place where the kind of noise picks the kernel: shared noise
-    gets :class:`WhitenedComponents`, per-observation noise
+    Shared noise gets :class:`WhitenedComponents`, per-observation noise
     :class:`StackedComponents`.  Both offer ``log_densities()``,
-    ``ed_update(k, problem)``, ``scaled_objective(k, problem)`` and
-    ``posterior_moments(k)``.
+    ``ed_update(k, problem)``, ``scaled_objective(k, problem)``,
+    ``posterior_moments(k)`` and the static ``fa_step(problem, u)``.
     """
-    kernel = WhitenedComponents if dataset.shared_noise else StackedComponents
-    return kernel(dataset, covariances)
+    return _kernel(dataset)(dataset, covariances)
+
+
+def _kernel(dataset: Dataset):
+    """The one place where the kind of noise picks the kernel class."""
+    return WhitenedComponents if dataset.shared_noise else StackedComponents
 
 
 def component_loglik(dataset: Dataset, cov: np.ndarray) -> np.ndarray:
@@ -473,8 +488,7 @@ def ted_rank1_update(problem: WeightedProblem) -> np.ndarray:
     return linalg.sym(lower @ es.compose(e) @ lower.T)
 
 
-def ed_update(problem: WeightedProblem, current: np.ndarray, components=None,
-              k: int = 0) -> np.ndarray:
+def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
     """One weighted EM covariance step from the ``current`` estimate.
 
     Averages the per-observation posterior second moments
@@ -482,16 +496,11 @@ def ed_update(problem: WeightedProblem, current: np.ndarray, components=None,
     ``B_j = U - U (U + V_j)^{-1} U``.  With the "iw" penalty the step is the
     penalized closed form ``(sum_j w_j (B_j + b_j b_j^T) + lam * s * I) /
     (W + lam)``.  Never decreases the penalized objective.
-
-    ``components``, if given, is the :func:`prepare_components` set that
-    holds ``current`` at index ``k``; a fit passes the one its E-step built.
     """
     if problem.penalty.kind == "nn":
         raise UnsupportedPenaltyError("the nuclear-norm penalty has no closed-form ed update")
-    if components is None:
-        components, k = prepare_components(problem.dataset,
-                                           np.asarray(current, dtype=float)[None]), 0
-    return components.ed_update(k, problem)
+    current = np.asarray(current, dtype=float)
+    return prepare_components(problem.dataset, current[None]).ed_update(0, problem)
 
 
 def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
@@ -508,27 +517,7 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
     """
     if problem.penalty.active:
         raise UnsupportedPenaltyError("penalties are not supported with fa")
-    dataset = problem.dataset
-    u = np.asarray(current, dtype=float)
-    w = problem.weights
-    x = dataset.x
-    if dataset.shared_noise:
-        # With shared noise V factors out of the linear system entirely.
-        viu = scipy.linalg.cho_solve((dataset.noise_cholesky, True), u)
-        sigma2 = 1.0 / (1.0 + float(u @ viu))
-        mu = sigma2 * (x @ viu)
-        denom = float(w @ (mu * mu + sigma2))
-        return ((w * mu) @ x) / denom
-    v_inv = linalg.solve_psd(dataset.noise, np.eye(dataset.dim))
-    viu = v_inv @ u
-    sigma2 = 1.0 / (1.0 + viu @ u)
-    mu = sigma2 * np.sum(viu * x, axis=1)
-    system = np.einsum("j,jab->ab", w * (mu * mu + sigma2), v_inv)
-    rhs = (w * mu) @ (v_inv @ x[:, :, None])[:, :, 0]
-    try:
-        return np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
+    return _kernel(problem.dataset).fa_step(problem, np.asarray(current, dtype=float))
 
 
 def scaled_objective(problem: WeightedProblem, base: np.ndarray):
@@ -542,16 +531,19 @@ def scaled_objective(problem: WeightedProblem, base: np.ndarray):
     return prepare_components(problem.dataset, base[None]).scaled_objective(0, problem)
 
 
-def scaled_update(problem: WeightedProblem, base: np.ndarray, objective=None) -> float:
+def scaled_update(problem: WeightedProblem, base: np.ndarray) -> float:
     """Maximize ``phi(c * base; w)`` over ``c >= 0``.
 
     Scans a geometric grid (expanded until the objective stops growing at
-    the upper edge) in one call of the :func:`scaled_objective`, which a
-    caller that already has it may pass as ``objective``, and polishes the
-    best bracket with bounded Brent.
+    the upper edge) in one call of the :func:`scaled_objective` and polishes
+    the best bracket with bounded Brent.
     """
+    return _maximize_scaled(problem, base, scaled_objective(problem, base))
+
+
+def _maximize_scaled(problem: WeightedProblem, base: np.ndarray, f) -> float:
+    """:func:`scaled_update` given its objective ``f``."""
     base = np.asarray(base, dtype=float)
-    f = scaled_objective(problem, base) if objective is None else objective
     w = problem.weights
     x = problem.dataset.x
     s_w = float(np.sum((x * w[:, None]) * x)) / problem.total_weight

@@ -313,7 +313,7 @@ class TestFitConfigRules:
         with pytest.raises(InvalidConfigError):
             FitConfig("ted", tolerance=value)
 
-    @pytest.mark.parametrize("value", [None, "5", 5.0, True])
+    @pytest.mark.parametrize("value", [None, "5", 5.5, np.inf, np.nan, True])
     def test_max_iterations_of_wrong_type_rejected(self, value):
         with pytest.raises(InvalidConfigError):
             FitConfig("ted", max_iterations=value)
@@ -327,6 +327,10 @@ class TestFitConfigRules:
         cfg = FitConfig("ted", max_iterations=np.int64(3), tolerance=np.float64(0.5),
                         warm_start_iterations=np.int32(1))
         assert cfg.max_iterations == 3 and cfg.tolerance == 0.5
+
+    def test_whole_number_floats_accepted(self):
+        cfg = FitConfig("ted", max_iterations=5.0, warm_start_iterations=np.float64(2.0))
+        assert cfg.max_iterations == 5 and cfg.warm_start_iterations == 2
 
     def test_nn_penalty_requires_ted(self):
         FitConfig("ted", Penalty.nuclear_norm(2.0))
