@@ -41,7 +41,7 @@ from .core import (
     save_matrix_csv,
     save_prior,
 )
-from .exceptions import EbmnmError, NumericalFailureError
+from .exceptions import EbmnmError, InvalidConfigError, NumericalFailureError
 
 
 class _UsageError(Exception):
@@ -101,8 +101,7 @@ def _penalty_strength(strength: str, dim: int) -> float:
 def _penalty_from_args(kind: str, strength: str, dim: int) -> Penalty:
     if kind == "none":
         return Penalty.none()
-    maker = Penalty.inverse_wishart if kind == "iw" else Penalty.nuclear_norm
-    return maker(_penalty_strength(strength, dim))
+    return Penalty(kind, _penalty_strength(strength, dim))
 
 
 def _derived_seed(base: int, *key: int) -> int:
@@ -216,22 +215,18 @@ def _bench_cell(task: dict) -> dict:
     scenario = sim.Scenario(kind=task["scenario"], n=task["n"], dim=task["R"],
                             seed=task["data_seed"], n_test=task["n_test"])
     train, truth = sim.generate(scenario)
-    constraint = "rank1" if task["algorithm"] == "fa" else "free"
+    config = task["config"]
+    constraint = "rank1" if config.algorithm == "fa" else "free"
     constraints = tuple(ComponentConstraint(constraint) for _ in range(task["K"]))
     init = mixture.random_init(task["R"], task["K"], task["init_seed"], constraints)
-    penalty = (Penalty.none() if task["penalty"] == "none"
-               else Penalty(task["penalty"], task["lam"]))
-    config = FitConfig(algorithm=task["algorithm"], penalty=penalty,
-                       max_iterations=task["max_iterations"], tolerance=task["tolerance"],
-                       warm_start_iterations=task["warm_start"])
     t0 = time.perf_counter()
     result = mixture.fit(train, init, config)
     report = sim.evaluate(truth.test, truth.theta_test, truth.prior, result.prior,
                           threshold=task["threshold"])
     return {
         "scenario": task["scenario"], "replicate": task["replicate"], "n": task["n"],
-        "R": task["R"], "K": task["K"], "algorithm": task["algorithm"],
-        "penalty": task["penalty"], "lambda": penalty.lam,
+        "R": task["R"], "K": task["K"], "algorithm": config.algorithm,
+        "penalty": config.penalty.kind, "lambda": config.penalty.lam,
         "iterations": result.trace.iterations_run,
         "converged": int(result.trace.converged),
         "objective": result.trace.objective[-1],
@@ -241,12 +236,24 @@ def _bench_cell(task: dict) -> dict:
     }
 
 
-def _bench_supported(algorithm: str, penalty: str) -> bool:
-    if penalty == "nn" and algorithm != "ted":
-        return False
-    if penalty != "none" and algorithm == "fa":
-        return False
-    return True
+def _bench_configs(args, algorithms: list[str], penalties: list[str]) -> list[FitConfig]:
+    """The fit configurations of the grid, skipping pairs ``FitConfig`` rejects.
+
+    Each algorithm is first checked without a penalty, so an unknown name
+    or a bad iteration setting is an error rather than a skipped cell.
+    """
+    settings = dict(max_iterations=args.max_iterations, tolerance=args.tolerance,
+                    warm_start_iterations=args.warm_start)
+    penalties = [_penalty_from_args(p, args.penalty_strength, args.R) for p in penalties]
+    configs = []
+    for algorithm in algorithms:
+        FitConfig(algorithm, **settings)
+        for penalty in penalties:
+            try:
+                configs.append(FitConfig(algorithm, penalty, **settings))
+            except InvalidConfigError:
+                continue
+    return configs
 
 
 def cmd_bench(args) -> int:
@@ -257,24 +264,18 @@ def cmd_bench(args) -> int:
     penalties = [p.strip() for p in args.penalties.split(",") if p.strip()]
     if args.n_test < 1:
         raise _UsageError("bench needs --n-test >= 1 to evaluate fits")
-    lam = _penalty_strength(args.penalty_strength, args.R)
+    configs = _bench_configs(args, algorithms, penalties)
     tasks = []
     for si, scenario in enumerate(scenarios):
         for rep in range(args.replicates):
-            for algorithm in algorithms:
-                for penalty in penalties:
-                    if not _bench_supported(algorithm, penalty):
-                        continue
-                    tasks.append({
-                        "scenario": scenario, "replicate": rep, "n": args.n,
-                        "R": args.R, "K": args.K, "n_test": args.n_test,
-                        "algorithm": algorithm, "penalty": penalty, "lam": lam,
-                        "max_iterations": args.max_iterations,
-                        "tolerance": args.tolerance, "warm_start": args.warm_start,
-                        "threshold": args.threshold,
-                        "data_seed": _derived_seed(args.seed, si, rep),
-                        "init_seed": _derived_seed(args.seed, si, rep, 1),
-                    })
+            for config in configs:
+                tasks.append({
+                    "scenario": scenario, "replicate": rep, "n": args.n,
+                    "R": args.R, "K": args.K, "n_test": args.n_test,
+                    "config": config, "threshold": args.threshold,
+                    "data_seed": _derived_seed(args.seed, si, rep),
+                    "init_seed": _derived_seed(args.seed, si, rep, 1),
+                })
     threads = args.threads or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:

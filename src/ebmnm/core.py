@@ -88,11 +88,6 @@ class Dataset:
     def shared_noise(self) -> bool:
         return self.noise.ndim == 2
 
-    @property
-    def noise_stack(self) -> np.ndarray:
-        """Noise as an ``(m, R, R)`` stack: ``m = 1`` if shared, else ``n``."""
-        return self.noise.reshape(-1, self.dim, self.dim)
-
     def noise_for(self, j: int) -> np.ndarray:
         """Noise covariance of observation ``j``."""
         return self.noise if self.shared_noise else self.noise[j]

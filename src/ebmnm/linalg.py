@@ -5,17 +5,14 @@ wraps LAPACK routines with the tolerance conventions used by the rest of the
 code: eigenvalues above ``-PSD_RTOL`` times the spectral radius count as
 nonnegative, and Cholesky factorizations get one jitter retry before failing.
 
-The stacked helpers take an ``(m, R, R)`` noise stack that broadcasts
-against the data grouped as ``(m, n/m, R)`` rows: ``m = n`` for one
-covariance per observation, which is what fits and summaries use them for.
-They accept ``m = 1`` too; a shared noise is otherwise handled in its
-whitened eigenbasis (:class:`ebmnm.solvers.WhitenedComponents`).
+The stacked helpers take one ``(R, R)`` matrix per observation, as an
+``(n, R, R)`` stack, and serve per-observation noise only; a shared noise is
+handled in its whitened eigenbasis (:class:`ebmnm.solvers.WhitenedComponents`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NotPositiveDefiniteError, NumericalFailureError
 
@@ -73,28 +70,6 @@ def eigh_descending(a: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values[order], vectors=vectors[:, order])
 
 
-def clamp_psd(a: np.ndarray) -> np.ndarray:
-    """Symmetrize and truncate all negative eigenvalues to zero.
-
-    Accepts one matrix or an ``(m, R, R)`` stack; each matrix is treated on
-    its own, and one with no negative eigenvalue is only symmetrized.
-    """
-    s = sym(a)
-    stack = s.reshape(-1, *s.shape[-2:])
-    try:
-        values, vectors = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    negative = values[:, 0] < 0.0
-    if np.any(negative):
-        # Compose in descending order, as EigenSystem.compose does, so a
-        # single matrix clamps to the same bits through either function.
-        e = np.maximum(values[negative, ::-1], 0.0)
-        q = np.ascontiguousarray(vectors[negative, :, ::-1])
-        stack[negative] = sym((q * e[:, None, :]) @ _t(q))
-    return s
-
-
 def check_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> np.ndarray:
     """Validate that ``a`` is symmetric PSD up to tolerance.
 
@@ -145,49 +120,27 @@ def cholesky_with_jitter(a: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L z = b`` for stacked factors.
-
-    ``lower`` is ``(m, R, R)`` lower triangular and ``b`` is ``(m, R, c)``.
-    A single factor takes one triangular solve for all ``c`` columns.  A
-    longer stack goes through numpy's batched LU solve, which is far faster
-    than a Python loop of triangular solves on small matrices.  Neither
-    checks for non-finite entries; they propagate to the result.
-    """
-    if len(lower) == 1:
-        return scipy.linalg.solve_triangular(lower[0], b[0], lower=True,
-                                             check_finite=False)[None]
-    return np.linalg.solve(lower, b)
-
-
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a_i x_i = b_i`` for an ``(m, R, R)`` stack of SPD matrices.
 
     ``b`` is ``(m, R, c)`` or an ``(R, c)`` matrix shared by every ``a_i``;
     the result is ``(m, R, c)``.
     """
-    lower = cholesky_with_jitter(a)
-    if len(lower) == 1:
-        return scipy.linalg.cho_solve((lower[0], True), b.reshape(b.shape[-2:]),
-                                      check_finite=False)[None]
     # One batched LU inverts the stacked factors; a_i^{-1} = L_i^{-T} L_i^{-1}.
-    inverse = np.linalg.inv(lower)
+    inverse = np.linalg.inv(cholesky_with_jitter(a))
     return _t(inverse) @ (inverse @ b)
 
 
 def mvn_logpdf_zero_mean(x: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of ``N(0, cov)`` at each row of ``x``.
+    """Log density of ``N(0, cov_j)`` at each row ``x_j`` of ``x``.
 
-    ``cov`` is one ``(R, R)`` matrix shared by all rows, or an ``(n, R, R)``
-    stack with one matrix per row.  Evaluated through the (stacked) Cholesky
-    factor; returns an array of shape ``(n,)`` for ``x`` of shape ``(n, R)``.
+    ``x`` is ``(n, R)`` and ``cov`` an ``(n, R, R)`` stack, one matrix per
+    row; evaluated through the stacked Cholesky factors.  Returns shape
+    ``(n,)``.
     """
-    x = np.atleast_2d(x)
     r = x.shape[1]
-    covs = cov.reshape(-1, r, r)
-    m = len(covs)
-    lower = cholesky_with_jitter(covs)
+    lower = cholesky_with_jitter(cov)
     logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
-    z = solve_lower(lower, _t(x.reshape(m, -1, r)))
-    quad = np.sum(z * z, axis=1)
-    return (-0.5 * (r * np.log(2.0 * np.pi) + logdet[:, None] + quad)).reshape(-1)
+    # numpy's batched LU solve is far faster than a loop of triangular solves.
+    z = np.linalg.solve(lower, x[:, :, None])[:, :, 0]
+    return -0.5 * (r * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=1))

@@ -9,13 +9,15 @@ coordinate is >= 0 or <= 0.
 
 The covariances are prepared against the noise once
 (:func:`ebmnm.solvers.prepare_components`), and the same set gives the
-responsibilities and the moments.  For a shared noise ``V = L L^T`` with
-``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` and ``P_k = Q_k diag(e_k /
-(1 + e_k)) Q_k^T``, the means are ``L P_k L^{-1} x_j`` and every observation
-shares the covariance ``L P_k L^T`` (``e_k`` clamped at 0), so nothing is
-factored beyond the noise.  Per-observation noise runs the stacked kernel:
-a stacked Cholesky of ``U_k + V_j``, stacked solves, and a stacked
-eigendecomposition that clamps each posterior covariance to PSD on its own.
+responsibilities and the moments.  Both kinds of noise use one formula: the
+means are ``U_k (U_k + V_j)^{-1} x_j`` and the covariance is
+``U_k (U_k + V_j)^{-1} V_j``, equal to the one above.  For a shared noise the
+inverse comes from the whitened eigenbasis of ``U_k`` and every observation
+shares the covariance, so nothing is factored beyond the noise;
+per-observation noise factors the stack ``U_k + V_j``.  Both products keep
+the rows of ``U_k``, so a coordinate where ``U_k`` has a zero row gets an
+exactly zero mean and variance under either kernel.  Rounding can leave a
+variance slightly below zero; the summaries clamp it at zero.
 ``posterior_mixture`` is the same computation on a one-row slice.
 
 Sign convention at point masses: a component with zero variance and zero

@@ -23,9 +23,15 @@ posterior moments are diagonal formulas in each ``Q_k`` basis, read against
 the whitened rows ``L^{-1} x_j`` cached on :class:`~ebmnm.core.Dataset`.  No
 ``U_k + V`` is factored, and ``V`` itself is factored once per dataset.  For
 per-observation noise it returns :class:`StackedComponents`, which runs the
-stacked ``(m, R, R)`` kernel of :mod:`ebmnm.linalg` (a stacked Cholesky of
+stacked ``(n, R, R)`` kernel of :mod:`ebmnm.linalg` (a stacked Cholesky of
 ``U_k + V_j`` plus stacked solves, no loop over observations, ``O(n R^2)``
 memory per component).
+
+Both kernels write the posterior moments of component ``k`` the same way:
+``U_k A_kj^{-1}`` with ``A_kj = U_k + V_j``, applied to ``x_j`` for the means
+and to ``V_j`` for the covariance.  The product keeps the rows of ``U_k``, so
+a coordinate where ``U_k`` has a zero row gets an exactly zero mean and
+variance, and the lfsr convention for point masses holds for any noise.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ class WhitenedComponents:
         log N(x_j; 0, U_k + V) = c - 1/2 [sum log1p(e_k) + sum z_jk^2 / (1 + e_k)]
 
     and the whitened posterior covariance of the effect is
-    ``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``.
+    ``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``.  The posterior moments use
+    ``(U_k + V)^{-1} = L^{-T} Q_k diag(1 / (1 + e_k)) Q_k^T L^{-1}``.
     """
 
     def __init__(self, dataset: Dataset, covariances: np.ndarray):
@@ -124,10 +131,9 @@ class WhitenedComponents:
             out[:, k] = const - 0.5 * (np.sum(np.log1p(e)) + np.einsum("ij,ij->i", y, y))
         return out
 
-    def _shrinkage(self, k: int, clamp: bool = False) -> np.ndarray:
-        """``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``, with ``e_k`` clamped at 0 if asked."""
-        e = np.maximum(self.values[k], 0.0) if clamp else self.values[k]
-        q = self.vectors[k]
+    def _shrinkage(self, k: int) -> np.ndarray:
+        """``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``."""
+        e, q = self.values[k], self.vectors[k]
         return linalg.sym((q * (e / (1.0 + e))) @ q.T)
 
     def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
@@ -186,22 +192,24 @@ class WhitenedComponents:
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, R)`` and the one posterior covariance ``(1, R, R)``.
 
-        Means are ``L P_k L^{-1} x_j``; the covariance ``L P_k L^T`` takes
-        ``e_k`` clamped at 0, so it is PSD and a zero component gives exact
-        zeros.
+        ``U_k (U_k + V)^{-1} = G_k L^{-1}`` with
+        ``G_k = U_k L^{-T} Q_k diag(1 / (1 + e_k)) Q_k^T``, so the means are
+        ``G_k L^{-1} x_j`` and the covariance ``U_k (U_k + V)^{-1} V`` is
+        ``G_k L^T``.  A zero row of ``U_k`` is a zero row of both.
         """
-        lower = self.dataset.noise_cholesky
-        means = self.dataset.whitened_x @ (self._shrinkage(k) @ lower.T)
-        return means, linalg.sym(lower @ self._shrinkage(k, clamp=True) @ lower.T)[None]
+        dataset = self.dataset
+        q = self.vectors[k]
+        gain = ((self.covariances[k] @ dataset.noise_whitener.T @ q)
+                / (1.0 + self.values[k])) @ q.T
+        return dataset.whitened_x @ gain.T, linalg.sym(gain @ dataset.noise_cholesky.T)[None]
 
 
 class StackedComponents:
-    """Covariances ``U_k`` against the ``(m, R, R)`` noise stack.
+    """Covariances ``U_k`` against per-observation noise ``V_j``.
 
-    Runs the stacked kernel of :mod:`ebmnm.linalg`: a stacked Cholesky of
-    ``U_k + V_j`` and stacked solves, with the data grouped as
-    ``(m, n/m, R)`` rows.  Used for per-observation noise; on a shared noise
-    it is the same kernel on a 1-stack.
+    Runs the stacked kernel of :mod:`ebmnm.linalg` on the ``(n, R, R)``
+    noise: a stacked Cholesky of ``U_k + V_j`` and stacked solves, with no
+    loop over observations.
     """
 
     def __init__(self, dataset: Dataset, covariances: np.ndarray):
@@ -210,29 +218,32 @@ class StackedComponents:
 
     def log_densities(self) -> np.ndarray:
         """``log N(x_j; 0, U_k + V_j)`` with shape (n, K)."""
-        x, noise = self.dataset.x, self.dataset.noise_stack
+        x, noise = self.dataset.x, self.dataset.noise
         out = np.empty((len(x), len(self.covariances)))
         for k, u in enumerate(self.covariances):
             out[:, k] = linalg.mvn_logpdf_zero_mean(x, u + noise)
         return out
 
-    def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
-        """Average of ``B_j + b_j b_j^T`` over the stack (see :func:`ed_update`)."""
-        dataset = self.dataset
+    def _gain(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``P_j = U_k (U_k + V_j)^{-1}`` ``(n, R, R)`` and the means ``P_j x_j`` ``(n, R)``."""
         u = self.covariances[k]
+        p = linalg.solve_psd(u + self.dataset.noise, u).swapaxes(1, 2)
+        return p, (p @ self.dataset.x[:, :, None])[:, :, 0]
+
+    def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
+        """Weighted average of ``B_j + b_j b_j^T`` (see :func:`ed_update`).
+
+        With ``P_j = U (U+V_j)^{-1}`` and ``b_j = P_j x_j`` the numerator is
+        ``W U - (sum_j w_j P_j) U + sum_j w_j b_j b_j^T``.
+        """
+        u = self.covariances[k]
+        w = problem.weights
         total = problem.total_weight
-        r = dataset.dim
-        noise = dataset.noise_stack                          # (m, R, R)
-        rows = dataset.x.reshape(len(noise), -1, r)          # (m, n/m, R)
-        w = problem.weights.reshape(len(noise), -1, 1)
-        z = linalg.solve_psd(u + noise, u)                   # (U+V_j)^{-1} U
-        p = z.swapaxes(1, 2)                                 # U (U+V_j)^{-1}
-        b_cov = linalg.sym(u - p @ u)
-        s_w = (rows * w).swapaxes(1, 2) @ rows               # sum_j w_j x_j x_j^T per matrix
-        moment = np.sum(w.sum(axis=1)[:, :, None] * b_cov + p @ s_w @ p.swapaxes(1, 2), axis=0)
+        p, b = self._gain(k)
+        moment = total * u - np.tensordot(w, p, axes=1) @ u + (b * w[:, None]).T @ b
         if problem.penalty.active:
             lam = problem.penalty.lam
-            new = (moment + lam * problem.scale * np.eye(r)) / (total + lam)
+            new = (moment + lam * problem.scale * np.eye(self.dataset.dim)) / (total + lam)
         else:
             new = moment / total
         return linalg.sym(new)
@@ -265,18 +276,13 @@ class StackedComponents:
             raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
 
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means ``(n, R)`` and covariances ``(m, R, R)``.
+        """Posterior means ``(n, R)`` and covariances ``(n, R, R)``.
 
-        Row ``j`` of the means is ``U (U+V_j)^{-1} x_j``; covariance ``i`` of
-        the stack is ``U (U+V_i)^{-1} V_i``, clamped to PSD.
+        Row ``j`` of the means is ``P_j x_j`` and covariance ``j`` is
+        ``P_j V_j``, with ``P_j = U (U+V_j)^{-1}``.
         """
-        cov = self.covariances[k]
-        noise = self.dataset.noise_stack
-        r = self.dataset.dim
-        z = linalg.solve_psd(cov + noise, cov)                  # (U+V)^{-1} U
-        means = (self.dataset.x.reshape(len(noise), -1, r) @ z).reshape(-1, r)
-        post_cov = linalg.clamp_psd(z.swapaxes(1, 2) @ noise)   # U - U (U+V)^{-1} U = U (U+V)^{-1} V
-        return means, post_cov
+        p, means = self._gain(k)
+        return means, linalg.sym(p @ self.dataset.noise)
 
 
 def prepare_components(dataset: Dataset, covariances: np.ndarray):
@@ -328,20 +334,20 @@ def penalty_value(penalty: Penalty, cov: np.ndarray, scale: float) -> float:
     return penalty_from_eigenvalues(penalty, np.linalg.eigvalsh(linalg.sym(cov)), scale)
 
 
-def floor_eigenvalues(e: np.ndarray, rtol: float = SPECTRUM_FLOOR_RTOL) -> np.ndarray:
-    """Raise eigenvalues to at least ``rtol * (spectral radius + 1)``.
+def floor_eigenvalues(e: np.ndarray) -> np.ndarray:
+    """Raise eigenvalues to at least ``SPECTRUM_FLOOR_RTOL * (spectral radius + 1)``.
 
     The penalties diverge at zero eigenvalues, so their scale updates need a
     strictly positive spectrum.
     """
     e = np.asarray(e, dtype=float)
-    return np.maximum(e, rtol * (max(float(e.max()), 0.0) + 1.0))
+    return np.maximum(e, SPECTRUM_FLOOR_RTOL * (max(float(e.max()), 0.0) + 1.0))
 
 
-def floor_spectrum(cov: np.ndarray, rtol: float = SPECTRUM_FLOOR_RTOL) -> np.ndarray:
+def floor_spectrum(cov: np.ndarray) -> np.ndarray:
     """``cov`` with its eigenvalues floored by :func:`floor_eigenvalues`."""
     es = linalg.eigh_descending(cov)
-    floored = floor_eigenvalues(es.values, rtol)
+    floored = floor_eigenvalues(es.values)
     if es.values[-1] >= floored[-1]:
         return cov
     return es.compose(floored)

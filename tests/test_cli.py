@@ -213,13 +213,16 @@ class TestBench:
 
     def test_unsupported_combinations_skipped(self, tmp_path):
         out = tmp_path / "bench2"
-        assert run("bench", "--scenarios", "hybrid", "--algorithms", "fa",
+        assert run("bench", "--scenarios", "hybrid", "--algorithms", "ted,ed,fa",
                    "--penalties", "none,iw,nn", "--n", "40", "--n-test", "20",
                    "--R", "3", "--K", "2", "--replicates", "1",
                    "--max-iterations", "20", "--threads", "1",
                    "--out", str(out)) == 0
         lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert len(lines) == 2  # fa runs unpenalized only
+        # ted takes every penalty, ed all but nn, fa none of them.
+        cells = [tuple(line.split(",")[5:7]) for line in lines[1:]]
+        assert cells == [("ted", "none"), ("ted", "iw"), ("ted", "nn"),
+                         ("ed", "none"), ("ed", "iw"), ("fa", "none")]
 
 
     def test_bad_penalty_strength_is_usage_error(self, tmp_path, capsys):

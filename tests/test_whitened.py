@@ -3,8 +3,9 @@
 For a shared noise ``V``, log-densities, the ``ed`` step and posterior
 summaries run as diagonal formulas in the eigenbasis of each whitened
 covariance (``solvers.WhitenedComponents``).  Each is pinned here to the
-stacked ``(m, R, R)`` kernel (``solvers.StackedComponents``) applied to the
-same ``V`` as a 1-stack, which factors ``U_k + V`` instead.
+per-observation kernel (``solvers.StackedComponents``) applied to a copy of
+the dataset whose noise repeats ``V`` once per observation, which factors
+``U_k + V`` instead.
 """
 
 import numpy as np
@@ -52,12 +53,18 @@ def cases(draw):
     return Dataset(x, noise), covs, weights, rng.uniform(0.0, 1.0, n)
 
 
+def _stacked(dataset, covs):
+    """The per-observation kernel on ``dataset`` with its noise repeated per row."""
+    repeated = Dataset(dataset.x, np.repeat(dataset.noise[None], dataset.n_obs, 0))
+    return solvers.StackedComponents(repeated, covs)
+
+
 @settings(max_examples=80, deadline=None)
 @given(cases())
 def test_log_densities_match_stacked_kernel(case):
     dataset, covs, _, _ = case
     got = solvers.prepare_components(dataset, covs).log_densities()
-    expected = solvers.StackedComponents(dataset, covs).log_densities()
+    expected = _stacked(dataset, covs).log_densities()
     assert got.shape == expected.shape == (dataset.n_obs, len(covs))
     r = dataset.dim
     logdet = np.linalg.slogdet(covs + dataset.noise)[1]
@@ -75,7 +82,7 @@ def test_ed_step_matches_stacked_kernel(case, penalty, scale):
     w[0] = max(w[0], 0.5)  # the weights must not all vanish
     problem = solvers.WeightedProblem(dataset, w, scale, penalty)
     whitened = solvers.prepare_components(dataset, covs)
-    stacked = solvers.StackedComponents(dataset, covs)
+    stacked = _stacked(dataset, covs)
     for k, u in enumerate(covs):
         expected = stacked.ed_update(k, problem)
         size = np.abs(expected).max() + np.abs(u).max() + penalty.lam * scale
@@ -89,7 +96,7 @@ def test_summarize_matches_stacked_kernel(case):
     dataset, covs, weights, _ = case
     prior = MixturePrior(weights, covs)
     got = posterior.summarize(dataset, prior)
-    expected = posterior._summary(solvers.StackedComponents(dataset, covs), weights)
+    expected = posterior._summary(_stacked(dataset, covs), weights)
     second = expected.sd**2 + expected.mean**2
     x_scale = np.abs(dataset.x).max(axis=1, keepdims=True)
     assert np.all(np.abs(got.mean - expected.mean) <= TOL * (x_scale + np.sqrt(second)))
