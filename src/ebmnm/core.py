@@ -124,6 +124,15 @@ class Dataset:
         return self
 
 
+def _observation(dataset: Dataset, j: int) -> Dataset:
+    """Observation ``j`` as a one-row dataset that reuses a shared noise's factors."""
+    row = Dataset(dataset.x[j:j + 1], dataset.noise_for(j))
+    if dataset.shared_noise:
+        row.__dict__.update(noise_cholesky=dataset.noise_cholesky,
+                            noise_whitener=dataset.noise_whitener)
+    return row
+
+
 def validate_dataset(dataset: Dataset) -> Dataset:
     """Check all :class:`Dataset` invariants, returning the dataset unchanged.
 
@@ -359,7 +368,7 @@ class FitConfig:
 
     ``algorithm`` is one of ``"ted"`` (exact eigenvalue-truncation updates,
     shared noise only), ``"ed"`` (EM covariance updates, any noise) or
-    ``"fa"`` (rank-1 vector updates, shared noise).  The fit stops when the
+    ``"fa"`` (rank-1 vector updates, any noise).  The fit stops when the
     objective gain between successive iterations drops below ``tolerance``
     or after ``max_iterations``.  ``warm_start_iterations`` EM ("ed")
     iterations are run first when positive.
@@ -407,8 +416,8 @@ class FitConfig:
                 f"config expects {self.n_components} components, init has {init.n_components}"
             )
         kinds = {c.kind for c in init.constraints}
-        if self.algorithm in ("ted", "fa") and not dataset.shared_noise:
-            raise InvalidConfigError(f"{self.algorithm} requires shared noise")
+        if self.algorithm == "ted" and not dataset.shared_noise:
+            raise InvalidConfigError("ted requires shared noise")
         if self.algorithm == "ed" and "rank1" in kinds:
             raise InvalidConfigError("ed cannot fit rank1-constrained components")
         if self.algorithm == "fa" and "free" in kinds:

@@ -35,8 +35,8 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _t(a))
 
 
-def is_symmetric(a: np.ndarray, rtol: float = SYM_RTOL):
-    """True if ``max|A - A^T|`` is at most ``rtol * max|A|``.
+def is_symmetric(a: np.ndarray):
+    """True if ``max|A - A^T|`` is at most ``SYM_RTOL * max|A|``.
 
     For an ``(m, R, R)`` stack, returns one flag per matrix, each measured
     against that matrix's own ``max|A|``.
@@ -44,7 +44,7 @@ def is_symmetric(a: np.ndarray, rtol: float = SYM_RTOL):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
     scale = np.max(np.abs(a), axis=(-2, -1))
-    return np.max(np.abs(a - _t(a)), axis=(-2, -1)) <= rtol * np.maximum(scale, 1e-300)
+    return np.max(np.abs(a - _t(a)), axis=(-2, -1)) <= SYM_RTOL * np.maximum(scale, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,9 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    def compose(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Rebuild ``Q diag(values) Q^T``, defaulting to the stored values."""
-        e = self.values if values is None else values
-        return sym((self.vectors * e) @ self.vectors.T)
+    def compose(self, values: np.ndarray) -> np.ndarray:
+        """Rebuild ``Q diag(values) Q^T``."""
+        return sym((self.vectors * values) @ self.vectors.T)
 
 
 def eigh_descending(a: np.ndarray) -> EigenSystem:
@@ -70,10 +69,10 @@ def eigh_descending(a: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values[order], vectors=vectors[:, order])
 
 
-def check_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> np.ndarray:
+def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is symmetric PSD up to tolerance.
 
-    Eigenvalues in ``[-rtol * spectral_radius, 0)`` are clamped to zero and
+    Eigenvalues in ``[-PSD_RTOL * spectral_radius, 0)`` are clamped to zero and
     the matrix is rebuilt; anything more negative raises.
     """
     if not is_symmetric(a):
@@ -84,7 +83,7 @@ def check_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> np
     lo, hi = es.values[-1], max(es.values[0], 0.0)
     if lo >= 0.0:
         return a
-    if lo < -rtol * max(hi, 1e-300):
+    if lo < -PSD_RTOL * max(hi, 1e-300):
         raise NotPositiveDefiniteError(
             f"{name} has negative eigenvalue {lo:.3e} (spectral radius {hi:.3e})"
         )

@@ -13,6 +13,8 @@ stacked eigendecomposition of the K whitened covariances, which gives the
 log-densities, the next ``ed`` steps, and for ``ted`` the penalty and the
 scale updates, whose metric is the noise-whitened one.  ``ed`` with "iw"
 measures its penalty in the data metric through one stacked ``eigvalsh``.
+One log-sum-exp gives both the objective and the next responsibilities, and
+each weighted problem forms its whitened Gram once for whichever update reads it.
 """
 
 from __future__ import annotations
@@ -188,8 +190,8 @@ def scaled_update_guarded(problem: solvers.WeightedProblem, base: np.ndarray,
     ``current`` is a multiple of ``base``; old and new multiples are compared
     with the :func:`~ebmnm.solvers.scaled_objective`.
     """
+    c = solvers.scaled_update(problem, base)
     f = solvers.scaled_objective(problem, base)
-    c = solvers._maximize_scaled(problem, base, f)
     c_old = float(np.sum(current * base)) / float(np.sum(base * base))
     new, old = f(np.array([c, c_old]))
     return c * base if new >= old else current
@@ -212,19 +214,20 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         components = solvers.prepare_components(dataset, np.stack(state.covariances))
         return components, components.log_densities()
 
-    def objective(log_dens, spectra):
-        return _log_likelihood_from(state.weights, log_dens) - \
-            _penalty_total(state, penalty, spectra)
+    def objective(log_totals, spectra):
+        return math.fsum(log_totals.ravel().tolist()) - _penalty_total(state, penalty, spectra)
 
+    # One log-sum-exp per E-step, for the objective and the next responsibilities.
     components, log_dens = evaluation or evaluate()
+    logw, log_totals = _log_weighted(state.weights, log_dens)
     previous = None
     if trace is not None:
-        previous = objective(log_dens, _penalty_spectra(components, penalty, whitened_penalty))
+        previous = objective(log_totals, _penalty_spectra(components, penalty, whitened_penalty))
         trace.append((0, previous, time.perf_counter() - t0))
     converged = False
     iteration = 0
     while iteration < max_iterations:
-        resp = _responsibilities_from(state.weights, log_dens)
+        resp = np.exp(logw - log_totals)
         new_weights = resp.sum(axis=0) / n
         state.weights = new_weights / new_weights.sum()
         # Dead components (negligible weight or responsibility mass) keep
@@ -241,12 +244,13 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
                 rescaled.append(k)
         iteration += 1
         components, log_dens = evaluate()
+        logw, log_totals = _log_weighted(state.weights, log_dens)
         spectra = _penalty_spectra(components, penalty, whitened_penalty)
         for k in rescaled:
             state.scales[k] = solvers.scale_factor_from_eigenvalues(
                 solvers.floor_eigenvalues(spectra[k]), penalty)
         if trace is not None:
-            current = objective(log_dens, spectra)
+            current = objective(log_totals, spectra)
             trace.append((iteration, current, time.perf_counter() - t0))
             if tolerance is not None and current - previous < tolerance:
                 converged = True

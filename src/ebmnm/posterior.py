@@ -18,7 +18,8 @@ per-observation noise factors the stack ``U_k + V_j``.  Both products keep
 the rows of ``U_k``, so a coordinate where ``U_k`` has a zero row gets an
 exactly zero mean and variance under either kernel.  Rounding can leave a
 variance slightly below zero; the summaries clamp it at zero.
-``posterior_mixture`` is the same computation on a one-row slice.
+``posterior_mixture`` is the same computation on a one-row slice, which
+reuses the parent dataset's factors of a shared noise.
 
 Sign convention at point masses: a component with zero variance and zero
 mean at a coordinate contributes its full weight to BOTH one-sided
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import mixture, solvers
-from .core import Dataset, MixturePrior
+from .core import Dataset, MixturePrior, _observation
 from .exceptions import DimensionMismatchError
 
 
@@ -67,8 +68,7 @@ def _check_dims(dataset: Dataset, prior: MixturePrior) -> None:
 def posterior_mixture(dataset: Dataset, prior: MixturePrior, j: int) -> PosteriorMixture:
     """Exact posterior mixture for observation ``j``."""
     _check_dims(dataset, prior)
-    single = solvers.prepare_components(Dataset(dataset.x[j:j + 1], dataset.noise_for(j)),
-                                        prior.covariances)
+    single = solvers.prepare_components(_observation(dataset, j), prior.covariances)
     weights = mixture._responsibilities_from(prior.weights, single.log_densities())[0]
     moments = [single.posterior_moments(k) for k in range(prior.n_components)]
     means = np.stack([m[0] for m, _ in moments])
@@ -82,19 +82,10 @@ def _one_sided(means: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np
     ``variances`` broadcasts against ``means``; nonpositive variances are
     point masses, with mass at exactly zero counted on both sides.
     """
-    means, variances = np.broadcast_arrays(means, variances)
-    pos = np.empty_like(means, dtype=float)
-    neg = np.empty_like(means, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = means / np.sqrt(variances)
     spread = variances > 0
-    if np.any(spread):
-        ratio = means[spread] / np.sqrt(variances[spread])
-        pos[spread] = ndtr(ratio)
-        neg[spread] = ndtr(-ratio)
-    point = ~spread
-    if np.any(point):
-        pos[point] = (means[point] >= 0).astype(float)
-        neg[point] = (means[point] <= 0).astype(float)
-    return pos, neg
+    return np.where(spread, ndtr(ratio), means >= 0), np.where(spread, ndtr(-ratio), means <= 0)
 
 
 def lfsr(pm: PosteriorMixture, coord: int) -> float:

@@ -13,9 +13,14 @@ polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
 ``scaled_update`` handles the one-dimensional problem ``U = c * base``.
 
+With a shared noise ``V = L L^T`` the data enter a weighted problem only
+through :attr:`WeightedProblem.whitened_gram`, ``S = sum_j w_j z_j z_j^T``
+with ``z_j = L^{-1} x_j``: ``ted`` reads the spectrum of ``S / W``, ``ed``
+reads ``S`` and ``scaled`` reads ``q^T S q`` along its basis directions.
+
 :func:`prepare_components` sets covariances up against the noise, and the
 kind of noise picks the kernel class in one place (``_kernel``), which
-``fa_update`` reads as well.  For a shared noise ``V = L L^T`` it returns
+``fa_update`` reads as well.  For a shared noise it returns
 :class:`WhitenedComponents`: one stacked eigendecomposition
 ``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` of all K components, after
 which log-densities, the ``ed`` step, the ``scaled`` objective and the
@@ -37,6 +42,7 @@ variance, and the lfsr convention for point masses holds for any noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -88,6 +94,15 @@ class WeightedProblem:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
+    @cached_property
+    def whitened_gram(self) -> np.ndarray:
+        """``S = sum_j w_j z_j z_j^T`` of the whitened rows ``z_j = L^{-1} x_j``.
+
+        Shared noise only: per-observation noise raises ``UnsupportedNoiseError``.
+        """
+        xt = self.dataset.whitened_x
+        return (xt * self.weights[:, None]).T @ xt
+
 
 class WhitenedComponents:
     """Covariances ``U_k`` in the eigenbasis that whitens a shared noise.
@@ -131,44 +146,37 @@ class WhitenedComponents:
             out[:, k] = const - 0.5 * (np.sum(np.log1p(e)) + np.einsum("ij,ij->i", y, y))
         return out
 
-    def _shrinkage(self, k: int) -> np.ndarray:
-        """``P_k = Q_k diag(e_k / (1 + e_k)) Q_k^T``."""
-        e, q = self.values[k], self.vectors[k]
-        return linalg.sym((q * (e / (1.0 + e))) @ q.T)
-
     def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
-        """The ``ed`` step ``(W P_k + P_k S_k P_k) / W`` in whitened coordinates.
+        """The ``ed`` step ``(W P_k + P_k S P_k) / W`` in whitened coordinates.
 
-        ``S_k`` is the weighted Gram of the whitened rows; "iw" adds
-        ``lam s L^{-1} L^{-T}`` (the data-metric ``lam s I``) to the
+        ``S`` is the problem's :attr:`~WeightedProblem.whitened_gram`; "iw"
+        adds ``lam s L^{-1} L^{-T}`` (the data-metric ``lam s I``) to the
         numerator and ``lam`` to the denominator.  Mapped back through ``L``.
         """
-        dataset = self.dataset
-        xt = dataset.whitened_x
-        p = self._shrinkage(k)
+        e, q = self.values[k], self.vectors[k]
+        p = linalg.sym((q * (e / (1.0 + e))) @ q.T)
         total = problem.total_weight
-        gram = (xt * problem.weights[:, None]).T @ xt
-        moment = total * p + p @ gram @ p
+        moment = total * p + p @ problem.whitened_gram @ p
         if problem.penalty.active:
-            lam, whiten = problem.penalty.lam, dataset.noise_whitener
+            lam, whiten = problem.penalty.lam, self.dataset.noise_whitener
             new = (moment + lam * problem.scale * (whiten @ whiten.T)) / (total + lam)
         else:
             new = moment / total
-        lower = dataset.noise_cholesky
-        return linalg.sym(lower @ linalg.sym(new) @ lower.T)
+        return _unwhiten(self.dataset, linalg.sym(new))
 
     def scaled_objective(self, k: int, problem: WeightedProblem):
         """``c -> phi(c * U_k; w)`` over an array of ``c``, O(R) per value.
 
         ``c U_k + V = L Q_k (I + c diag(b)) Q_k^T L^T`` with ``b = e_k``
-        clamped at 0 (``U_k`` may be singular), so with
-        ``S_i = sum_j w_j z_jki^2`` and ``c0 = -1/2 (R log 2 pi + log det V)``:
+        clamped at 0 (``U_k`` may be singular), so with ``S_i = q_i^T S q_i``
+        (columns ``q_i`` of ``Q_k``, ``S`` the problem's ``whitened_gram``) and
+        ``c0 = -1/2 (R log 2 pi + log det V)``:
 
             phi(c) = W c0 - (W/2) sum_i log(1 + c b_i) - 1/2 sum_i S_i / (1 + c b_i).
         """
         b = np.maximum(self.values[k], 0.0)
-        y = self.dataset.whitened_x @ self.vectors[k]
-        s_w = problem.weights @ (y * y)
+        q = self.vectors[k]
+        s_w = np.sum(q * (problem.whitened_gram @ q), axis=0)
         w = problem.total_weight
         const = w * self._constant()
 
@@ -353,24 +361,6 @@ def floor_spectrum(cov: np.ndarray) -> np.ndarray:
     return es.compose(floored)
 
 
-def _refine_scalar_max(f, grid: np.ndarray, values: np.ndarray, xatol: float) -> float:
-    """Polish the best grid point of a 1-d maximization with bounded Brent."""
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    best_x, best_f = float(grid[i]), float(values[i])
-    if hi > lo:
-        res = minimize_scalar(
-            lambda t: -f(t),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": xatol, "maxiter": SCALAR_MAXITER},
-        )
-        if np.isfinite(res.fun) and -res.fun > best_f:
-            best_x, best_f = float(res.x), float(-res.fun)
-    return best_x
-
-
 def _penalized_stationarity_roots(d_values: np.ndarray, w: float, lam: float, s: float,
                                   iw: bool) -> np.ndarray:
     """Real parts of the roots of ``g'(e) = 0`` with denominators cleared.
@@ -455,17 +445,23 @@ def solve_penalized_eigenvalue(d: float, total_weight: float, penalty: Penalty,
     return float(solve_penalized_spectrum(np.array([d]), total_weight, penalty, scale)[0])
 
 
-def _whitened_sample_eigensystem(problem: WeightedProblem):
-    """Eigendecompose the weighted Gram of the dataset's cached whitened rows.
+def _unwhiten(dataset: Dataset, m: np.ndarray) -> np.ndarray:
+    """``L m L^T``: a symmetric matrix in whitened coordinates, in data coordinates."""
+    lower = dataset.noise_cholesky
+    return linalg.sym(lower @ m @ lower.T)
 
-    Returns the noise Cholesky factor ``L`` and the eigensystem of
-    ``sum_j w_j (L^{-1} x_j)(L^{-1} x_j)^T / W``.
+
+def _truncated_solution(problem: WeightedProblem, rank1: bool) -> np.ndarray:
+    """The ``ted`` solution ``L Q diag(e) Q^T L^T`` from ``S / W = Q diag(d) Q^T``.
+
+    ``e`` is :func:`solve_penalized_spectrum` of ``d``; ``rank1`` keeps its top entry.
     """
-    dataset = problem.dataset
-    xt = dataset.whitened_x
-    w = problem.weights
-    s_cov = (xt * w[:, None]).T @ xt / problem.total_weight
-    return dataset.noise_cholesky, linalg.eigh_descending(s_cov)
+    es = linalg.eigh_descending(problem.whitened_gram / problem.total_weight)
+    e = solve_penalized_spectrum(es.values, problem.total_weight, problem.penalty,
+                                 problem.scale)
+    if rank1:
+        e[1:] = 0.0
+    return _unwhiten(problem.dataset, es.compose(e))
 
 
 def ted_update(problem: WeightedProblem) -> np.ndarray:
@@ -478,20 +474,14 @@ def ted_update(problem: WeightedProblem) -> np.ndarray:
     penalty is measured in the noise-whitened metric (it pulls ``U/s``
     toward the noise covariance rather than the identity).
     """
-    lower, es = _whitened_sample_eigensystem(problem)
-    e = solve_penalized_spectrum(es.values, problem.total_weight, problem.penalty,
-                                 problem.scale)
-    return linalg.sym(lower @ es.compose(e) @ lower.T)
+    return _truncated_solution(problem, rank1=False)
 
 
 def ted_rank1_update(problem: WeightedProblem) -> np.ndarray:
     """Exact rank-1-constrained solution for shared noise (no penalty)."""
     if problem.penalty.active:
         raise UnsupportedPenaltyError("penalties are not supported with rank-1 constraints")
-    lower, es = _whitened_sample_eigensystem(problem)
-    e = np.zeros_like(es.values)
-    e[0] = max(es.values[0] - 1.0, 0.0)
-    return linalg.sym(lower @ es.compose(e) @ lower.T)
+    return _truncated_solution(problem, rank1=True)
 
 
 def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
@@ -542,17 +532,11 @@ def scaled_update(problem: WeightedProblem, base: np.ndarray) -> float:
 
     Scans a geometric grid (expanded until the objective stops growing at
     the upper edge) in one call of the :func:`scaled_objective` and polishes
-    the best bracket with bounded Brent.
+    the best grid point's bracket with bounded Brent.
     """
-    return _maximize_scaled(problem, base, scaled_objective(problem, base))
-
-
-def _maximize_scaled(problem: WeightedProblem, base: np.ndarray, f) -> float:
-    """:func:`scaled_update` given its objective ``f``."""
-    base = np.asarray(base, dtype=float)
-    w = problem.weights
+    f = scaled_objective(problem, base)
     x = problem.dataset.x
-    s_w = float(np.sum((x * w[:, None]) * x)) / problem.total_weight
+    s_w = float(np.sum((x * problem.weights[:, None]) * x)) / problem.total_weight
     guess = max(s_w / max(np.trace(base), 1e-300), 1e-12)
     lo_c, hi_c = 1e-6 * guess, 1e3 * guess
     for _ in range(6):
@@ -561,7 +545,15 @@ def _maximize_scaled(problem: WeightedProblem, base: np.ndarray, f) -> float:
         if np.argmax(values) < len(grid) - 1:
             break
         hi_c *= 1e3
-    best = _refine_scalar_max(f, grid, values, xatol=max(1e-9 * guess, 1e-15))
+    i = int(np.argmax(values))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    best = float(grid[i])
+    if hi > lo:
+        res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                              options={"xatol": max(1e-9 * guess, 1e-15),
+                                       "maxiter": SCALAR_MAXITER})
+        if np.isfinite(res.fun) and -res.fun > values[i]:
+            best = float(res.x)
     return max(best, 0.0)
 
 

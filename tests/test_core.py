@@ -292,11 +292,11 @@ class TestFitConfigRules:
         with pytest.raises(InvalidConfigError):
             cfg.validate_for(self.per_obs, self.free)
 
-    def test_fa_requires_shared_noise(self):
-        cfg = FitConfig("fa")
-        cfg.validate_for(self.shared, self.rank1)
-        with pytest.raises(InvalidConfigError):
-            cfg.validate_for(self.per_obs, self.rank1)
+    def test_fa_accepts_per_observation_noise(self):
+        for dataset in (self.shared, self.per_obs):
+            FitConfig("fa").validate_for(dataset, self.rank1)
+        with pytest.raises(InvalidConfigError, match="ted requires shared noise"):
+            FitConfig("ted").validate_for(self.per_obs, self.rank1)
 
     def test_ed_rejects_rank1(self):
         cfg = FitConfig("ed")

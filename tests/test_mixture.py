@@ -175,6 +175,7 @@ class TestFit:
             ("ed", Penalty.none(), ("free", "scaled"), False),
             ("fa", Penalty.none(), ("rank1", "rank1"), True),
             ("fa", Penalty.none(), ("rank1", "scaled"), True),
+            ("fa", Penalty.none(), ("rank1", "scaled"), False),
         ]
         for algorithm, penalty, kinds, shared in cases:
             ds = random_dataset(rng, 40, 3, shared=shared)

@@ -11,6 +11,7 @@ from ebmnm.core import ComponentConstraint, Dataset, FitConfig, MixturePrior
 from ebmnm.exceptions import DimensionMismatchError
 from ebmnm.mixture import fit, random_init
 from ebmnm.posterior import (
+    _one_sided,
     PosteriorMixture,
     lfsr,
     PosteriorSummary,
@@ -113,6 +114,33 @@ class TestLfsr:
         pm2 = PosteriorMixture(w[perm], means[perm], covs[perm])
         for coord in range(2):
             assert lfsr(pm, coord) == pytest.approx(lfsr(pm2, coord), abs=1e-15)
+
+
+def _one_sided_masked(means, variances):
+    """``_one_sided`` written with boolean-mask copies, as a byte-level reference."""
+    means, variances = np.broadcast_arrays(means, variances)
+    pos, neg = np.empty_like(means, dtype=float), np.empty_like(means, dtype=float)
+    spread = variances > 0
+    ratio = means[spread] / np.sqrt(variances[spread])
+    pos[spread], neg[spread] = ndtr(ratio), ndtr(-ratio)
+    pos[~spread] = (means[~spread] >= 0).astype(float)
+    neg[~spread] = (means[~spread] <= 0).astype(float)
+    return pos, neg
+
+
+@pytest.mark.parametrize("n, r", [(2000, 5), (500, 5), (300, 50)])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_one_sided_bytes_match_masked_reference(n, r, per_row):
+    rng = np.random.default_rng(n * r)
+    means = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3, 3, (n, r))
+    means[rng.uniform(size=(n, r)) < 0.1] = 0.0
+    means[rng.uniform(size=(n, r)) < 0.05] = -0.0
+    variances = rng.exponential(size=(n if per_row else 1, r))
+    for value, share in ((0.0, 0.2), (-0.0, 0.05), (-1e-300, 0.05)):
+        variances[rng.uniform(size=variances.shape) < share] = value
+    for got, expected in zip(_one_sided(means, variances), _one_sided_masked(means, variances)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSummarize:

@@ -6,6 +6,10 @@ covariance (``solvers.WhitenedComponents``).  Each is pinned here to the
 per-observation kernel (``solvers.StackedComponents``) applied to a copy of
 the dataset whose noise repeats ``V`` once per observation, which factors
 ``U_k + V`` instead.
+
+The updates that read a problem's whitened Gram (``ted``, rank-1 ``ted``,
+``ed`` and the ``scaled`` objective) are pinned to references that loop over
+the rows in data coordinates.
 """
 
 import numpy as np
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import random_psd
 from ebmnm import ComponentConstraint, Dataset, FitConfig, MixturePrior, Penalty, linalg
 from ebmnm import mixture, posterior, solvers
-from ebmnm.exceptions import NumericalFailureError
+from ebmnm.exceptions import NumericalFailureError, UnsupportedNoiseError
 
 # Relative tolerance fixed from the dtype: an eigendecomposition of the
 # whitened covariance in place of a Cholesky factor of U + V changes results
@@ -156,3 +160,131 @@ class TestNoiseFactoredOnce:
         covs = np.stack([random_psd(rng, 4), np.zeros((4, 4)), np.outer([1.0, 2, 0, 1], [1.0, 2, 0, 1])])
         posterior.summarize(self._dataset(5), MixturePrior(np.full(3, 1 / 3), covs))
         assert counts == {"cholesky_with_jitter": 1, "solve_psd": 0}
+
+    def test_posterior_mixture_reuses_the_factor(self, counts, rng):
+        dataset = self._dataset(6)
+        prior = MixturePrior(np.full(2, 0.5), np.stack([random_psd(rng, 4), np.zeros((4, 4))]))
+        posterior.summarize(dataset, prior)
+        for j in range(5):
+            before = dict(counts)
+            pm = posterior.posterior_mixture(dataset, prior, j)
+            assert counts == before
+            # A one-row dataset that factors the noise itself gives the same bytes.
+            fresh = solvers.prepare_components(Dataset(dataset.x[j:j + 1], dataset.noise),
+                                               prior.covariances)
+            means, covs = zip(*(fresh.posterior_moments(k) for k in range(2)))
+            assert pm.means.tobytes() == np.concatenate(means).tobytes()
+            assert pm.covariances.tobytes() == np.concatenate(covs).tobytes()
+
+
+# Tolerance of the row-based references, fixed before the first run.  Both
+# sides round sums of at most 60 terms and an eigendecomposition of order at
+# most 8, and the noise drawn here has a condition number below 1e3, so they
+# differ by far less than this multiple of eps times the magnitude each check
+# names.
+GRAM_TOL = 1e7 * np.finfo(float).eps
+
+
+@st.composite
+def gram_cases(draw):
+    """A shared-noise weighted problem, a current covariance and a scaled base.
+
+    The noise is the identity, diagonal or correlated, times 1e-50, 1 or
+    1e50; the data, the covariance and the base share its scale.
+    """
+    n = draw(st.integers(1, 60))
+    r = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["identity", "diagonal", "correlated"]))
+    scale = 10.0 ** draw(st.sampled_from([-50, 0, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = {"identity": np.eye(r), "diagonal": np.diag(rng.uniform(0.2, 5.0, r)),
+             "correlated": _psd(rng, r, "pd")}[kind]
+    x = rng.standard_normal((n, r)) * rng.uniform(0.5, 3.0) * np.sqrt(scale)
+    w = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.2)
+    w[0] = max(w[0], 0.5)  # the weights must not all vanish
+    current = scale * 10.0 ** rng.uniform(-2, 2) * _psd(rng, r, "pd")
+    return Dataset(x, scale * noise), w, current, scale * _psd(rng, r, "pd")
+
+
+def _row_gram(dataset, w):
+    """``L`` and ``sum_j w_j z_j z_j^T``, whitening one row at a time."""
+    lower = np.linalg.cholesky(dataset.noise)
+    gram = np.zeros((dataset.dim, dataset.dim))
+    for xj, wj in zip(dataset.x, w):
+        z = np.linalg.solve(lower, xj)
+        gram += wj * np.outer(z, z)
+    return lower, gram
+
+
+def _row_ed(dataset, w, u, lam, s):
+    """The ``ed`` step as a loop over rows of ``B + b_j b_j^T`` in data coordinates."""
+    a = u + dataset.noise
+    moment = np.zeros_like(u)
+    for xj, wj in zip(dataset.x, w):
+        b = u @ np.linalg.solve(a, xj)
+        moment += wj * (u - u @ np.linalg.solve(a, u) + np.outer(b, b))
+    return (moment + lam * s * np.eye(dataset.dim)) / (w.sum() + lam)
+
+
+def _row_loglik(dataset, w, cov):
+    """``sum_j w_j log N(x_j; 0, cov + V)`` and its magnitude, one row at a time."""
+    a = cov + dataset.noise
+    logdet = np.linalg.slogdet(a)[1]
+    terms = [dataset.dim * np.log(2.0 * np.pi) + logdet + xj @ np.linalg.solve(a, xj)
+             for xj in dataset.x]
+    return -0.5 * float(w @ terms), float(w @ (dataset.dim + abs(logdet) + np.abs(terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_cases())
+def test_ted_updates_match_row_reference(case):
+    dataset, w, _, _ = case
+    problem = solvers.WeightedProblem(dataset, w)
+    lower, gram = _row_gram(dataset, w)
+    d, q = np.linalg.eigh(gram / w.sum())
+    size = np.linalg.norm(dataset.noise, 2) * (1.0 + np.linalg.norm(gram, 2) / w.sum())
+    expected = lower @ ((q * np.maximum(d - 1.0, 0.0)) @ q.T) @ lower.T
+    assert np.all(np.abs(solvers.ted_update(problem) - expected) <= GRAM_TOL * size)
+    # The top eigenvector moves by the rounding over the gap below it.
+    gap = d[-1] - d[-2] if len(d) > 1 else np.inf
+    top = lower @ q[:, -1]
+    expected = max(d[-1] - 1.0, 0.0) * np.outer(top, top)
+    got = solvers.ted_rank1_update(problem)
+    assert np.all(np.abs(got - expected) <= GRAM_TOL * size * (1.0 + d[-1] / gap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_cases(), st.sampled_from([Penalty.none(), Penalty.inverse_wishart(0.7),
+                                      Penalty.inverse_wishart(4.0)]),
+       st.sampled_from([0.3, 1.0, 4.0]))
+def test_ed_update_matches_row_reference(case, penalty, scale):
+    dataset, w, current, _ = case
+    s = scale * np.abs(dataset.noise).max()
+    problem = solvers.WeightedProblem(dataset, w, s, penalty)
+    expected = _row_ed(dataset, w, current, penalty.lam, s)
+    v_norm = np.linalg.norm(dataset.noise, 2)
+    size = (np.linalg.norm(current, 2) + v_norm + penalty.lam * s
+            + np.linalg.cond(dataset.noise) * np.max(np.sum(dataset.x ** 2, axis=1)))
+    for got in (solvers.ed_update(problem, current),
+                solvers.prepare_components(dataset, current[None]).ed_update(0, problem)):
+        assert np.all(np.abs(got - expected) <= GRAM_TOL * size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_cases())
+def test_scaled_objective_matches_row_reference(case):
+    dataset, w, _, base = case
+    problem = solvers.WeightedProblem(dataset, w)
+    grid = np.array([0.0, 0.3, 1.0, 7.0])
+    values = solvers.scaled_objective(problem, base)(grid)
+    for c, got in zip(grid, values):
+        expected, size = _row_loglik(dataset, w, c * base)
+        assert abs(got - expected) <= GRAM_TOL * size
+        assert abs(got - solvers.weighted_loglik(problem, c * base)) <= GRAM_TOL * size
+
+
+def test_whitened_gram_needs_shared_noise(rng):
+    problem = solvers.WeightedProblem(Dataset(rng.standard_normal((4, 2)),
+                                              np.stack([np.eye(2)] * 4)), np.ones(4))
+    with pytest.raises(UnsupportedNoiseError):
+        problem.whitened_gram
