@@ -15,6 +15,7 @@ scale updates, whose metric is the noise-whitened one.  ``ed`` with "iw"
 measures its penalty in the data metric through one stacked ``eigvalsh``.
 One log-sum-exp gives both the objective and the next responsibilities, and
 each weighted problem forms its whitened Gram once for whichever update reads it.
+A ``scaled`` update keeps the current multiple unless it finds a better one.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
     """Replace covariance ``k``; ``components`` holds the current covariances."""
     constraint = state.constraints[k]
     if constraint.kind == "scaled":
-        state.covariances[k] = scaled_update_guarded(problem, constraint.base,
-                                                     state.covariances[k])
+        base = constraint.base
+        current = float(np.sum(state.covariances[k] * base)) / float(np.sum(base * base))
+        state.covariances[k] = solvers.scaled_update(problem, base, current) * base
     elif constraint.kind == "rank1":
         if rank1_algorithm == "fa":
             u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
@@ -181,20 +183,6 @@ def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
         state.covariances[k] = solvers.ted_update(problem)
     else:
         state.covariances[k] = components.ed_update(k, problem)
-
-
-def scaled_update_guarded(problem: solvers.WeightedProblem, base: np.ndarray,
-                          current: np.ndarray) -> np.ndarray:
-    """Scaled-constraint update that never moves to a worse objective.
-
-    ``current`` is a multiple of ``base``; old and new multiples are compared
-    with the :func:`~ebmnm.solvers.scaled_objective`.
-    """
-    c = solvers.scaled_update(problem, base)
-    f = solvers.scaled_objective(problem, base)
-    c_old = float(np.sum(current * base)) / float(np.sum(base * base))
-    new, old = f(np.array([c, c_old]))
-    return c * base if new >= old else current
 
 
 def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algorithm: str,

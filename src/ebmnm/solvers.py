@@ -27,10 +27,10 @@ which log-densities, the ``ed`` step, the ``scaled`` objective and the
 posterior moments are diagonal formulas in each ``Q_k`` basis, read against
 the whitened rows ``L^{-1} x_j`` cached on :class:`~ebmnm.core.Dataset`.  No
 ``U_k + V`` is factored, and ``V`` itself is factored once per dataset.  For
-per-observation noise it returns :class:`StackedComponents`, which runs the
-stacked ``(n, R, R)`` kernel of :mod:`ebmnm.linalg` (a stacked Cholesky of
-``U_k + V_j`` plus stacked solves, no loop over observations, ``O(n R^2)``
-memory per component).
+per-observation noise it returns :class:`StackedComponents`: a stacked
+Cholesky of ``U_k + V_j`` and stacked solves, no loop over observations.
+Both kernels hand the ``scaled`` objective to :func:`_diagonal_objective`, and
+their ``ed`` steps average the posterior second moments.
 
 Both kernels write the posterior moments of component ``k`` the same way:
 ``U_k A_kj^{-1}`` with ``A_kj = U_k + V_j``, applied to ``x_j`` for the means
@@ -167,25 +167,15 @@ class WhitenedComponents:
     def scaled_objective(self, k: int, problem: WeightedProblem):
         """``c -> phi(c * U_k; w)`` over an array of ``c``, O(R) per value.
 
-        ``c U_k + V = L Q_k (I + c diag(b)) Q_k^T L^T`` with ``b = e_k``
-        clamped at 0 (``U_k`` may be singular), so with ``S_i = q_i^T S q_i``
-        (columns ``q_i`` of ``Q_k``, ``S`` the problem's ``whitened_gram``) and
-        ``c0 = -1/2 (R log 2 pi + log det V)``:
-
-            phi(c) = W c0 - (W/2) sum_i log(1 + c b_i) - 1/2 sum_i S_i / (1 + c b_i).
+        ``c U_k + V = L Q_k (I + c diag(e_k)) Q_k^T L^T``, so
+        :func:`_diagonal_objective` has one term: ``omega = W`` and
+        ``A_i = q_i^T S q_i`` (columns ``q_i`` of ``Q_k``, ``S`` the problem's
+        ``whitened_gram``).
         """
-        b = np.maximum(self.values[k], 0.0)
-        q = self.vectors[k]
+        q, w = self.vectors[k], problem.total_weight
         s_w = np.sum(q * (problem.whitened_gram @ q), axis=0)
-        w = problem.total_weight
-        const = w * self._constant()
-
-        def f(c):
-            cb = np.asarray(c, dtype=float)[..., None] * b
-            return const - 0.5 * w * np.sum(np.log1p(cb), axis=-1) \
-                - 0.5 * np.sum(s_w / (1.0 + cb), axis=-1)
-
-        return f
+        return _diagonal_objective(w * self._constant(), np.array([w]), self.values[k][None],
+                                   s_w[None])
 
     @staticmethod
     def fa_step(problem: WeightedProblem, u: np.ndarray) -> np.ndarray:
@@ -217,7 +207,7 @@ class StackedComponents:
 
     Runs the stacked kernel of :mod:`ebmnm.linalg` on the ``(n, R, R)``
     noise: a stacked Cholesky of ``U_k + V_j`` and stacked solves, with no
-    loop over observations.
+    loop over observations.  The ``ed`` step reads :meth:`posterior_moments`.
     """
 
     def __init__(self, dataset: Dataset, covariances: np.ndarray):
@@ -232,23 +222,11 @@ class StackedComponents:
             out[:, k] = linalg.mvn_logpdf_zero_mean(x, u + noise)
         return out
 
-    def _gain(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``P_j = U_k (U_k + V_j)^{-1}`` ``(n, R, R)`` and the means ``P_j x_j`` ``(n, R)``."""
-        u = self.covariances[k]
-        p = linalg.solve_psd(u + self.dataset.noise, u).swapaxes(1, 2)
-        return p, (p @ self.dataset.x[:, :, None])[:, :, 0]
-
     def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
-        """Weighted average of ``B_j + b_j b_j^T`` (see :func:`ed_update`).
-
-        With ``P_j = U (U+V_j)^{-1}`` and ``b_j = P_j x_j`` the numerator is
-        ``W U - (sum_j w_j P_j) U + sum_j w_j b_j b_j^T``.
-        """
-        u = self.covariances[k]
-        w = problem.weights
-        total = problem.total_weight
-        p, b = self._gain(k)
-        moment = total * u - np.tensordot(w, p, axes=1) @ u + (b * w[:, None]).T @ b
+        """The :func:`ed_update` average of ``C_j + m_j m_j^T`` from :meth:`posterior_moments`."""
+        means, covs = self.posterior_moments(k)
+        w, total = problem.weights, problem.total_weight
+        moment = np.tensordot(w, covs, axes=1) + (means * w[:, None]).T @ means
         if problem.penalty.active:
             lam = problem.penalty.lam
             new = (moment + lam * problem.scale * np.eye(self.dataset.dim)) / (total + lam)
@@ -257,16 +235,25 @@ class StackedComponents:
         return linalg.sym(new)
 
     def scaled_objective(self, k: int, problem: WeightedProblem):
-        """``c -> phi(c * U_k; w)`` over an array of ``c``, one kernel pass per value."""
-        base = self.covariances[k]
+        """``c -> phi(c * U_k; w)`` over an array of ``c``, O(n R) per value.
 
-        def f(c):
-            c = np.asarray(c, dtype=float)
-            values = [problem.weights @ StackedComponents(self.dataset, ci * base[None])
-                      .log_densities()[:, 0] for ci in c.ravel()]
-            return np.reshape(values, c.shape)[()]
-
-        return f
+        :func:`_diagonal_objective` of ``L_j^{-1} U_k L_j^{-T} = Q_j diag(b_j) Q_j^T``
+        (``V_j = L_j L_j^T``), ``omega_j = w_j`` and ``A_ji = w_j (Q_j^T L_j^{-1} x_j)_i^2``.
+        """
+        dataset, w = self.dataset, problem.weights
+        e, vectors = np.linalg.eigh(self.covariances[k])
+        root = vectors * np.sqrt(np.maximum(e, 0.0))  # U_k = root root^T
+        # One name holds each (n, R, R) stack in turn, so at most two are alive.
+        stack = linalg.cholesky_with_jitter(dataset.noise)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(stack, axis1=1, axis2=2)), axis=1)
+        stack = np.linalg.inv(stack)
+        z = stack @ dataset.x[:, :, None]
+        stack = stack @ root
+        stack = stack @ stack.swapaxes(1, 2)
+        b, stack = np.linalg.eigh(stack)
+        y = (stack.swapaxes(1, 2) @ z)[:, :, 0]
+        const = -0.5 * float(w @ (dataset.dim * np.log(2.0 * np.pi) + logdet))
+        return _diagonal_objective(const, w, b, w[:, None] * y * y)
 
     @staticmethod
     def fa_step(problem: WeightedProblem, u: np.ndarray) -> np.ndarray:
@@ -287,10 +274,11 @@ class StackedComponents:
         """Posterior means ``(n, R)`` and covariances ``(n, R, R)``.
 
         Row ``j`` of the means is ``P_j x_j`` and covariance ``j`` is
-        ``P_j V_j``, with ``P_j = U (U+V_j)^{-1}``.
+        ``sym(P_j V_j)``, with ``P_j = U_k (U_k + V_j)^{-1}``.
         """
-        p, means = self._gain(k)
-        return means, linalg.sym(p @ self.dataset.noise)
+        u, noise = self.covariances[k], self.dataset.noise
+        p = linalg.solve_psd(u + noise, u).swapaxes(1, 2)
+        return (p @ self.dataset.x[:, :, None])[:, :, 0], linalg.sym(p @ noise)
 
 
 def prepare_components(dataset: Dataset, covariances: np.ndarray):
@@ -489,7 +477,7 @@ def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
 
     Averages the per-observation posterior second moments
     ``B_j + b_j b_j^T`` with ``b_j = U (U + V_j)^{-1} x_j`` and
-    ``B_j = U - U (U + V_j)^{-1} U``.  With the "iw" penalty the step is the
+    ``B_j = U (U + V_j)^{-1} V_j``.  With the "iw" penalty the step is the
     penalized closed form ``(sum_j w_j (B_j + b_j b_j^T) + lam * s * I) /
     (W + lam)``.  Never decreases the penalized objective.
     """
@@ -516,19 +504,39 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
     return _kernel(problem.dataset).fa_step(problem, np.asarray(current, dtype=float))
 
 
+def _diagonal_objective(const: float, omega: np.ndarray, b: np.ndarray, a: np.ndarray):
+    """``c -> const - 1/2 sum_{j,i} [omega_j log(1 + c b_ji) + A_ji / (1 + c b_ji)]``.
+
+    The ``scaled`` objective of both kernels: ``omega`` is ``(m,)``, ``b`` and
+    ``a`` are ``(m, R)``, and ``b`` is clamped at 0 (``U_k`` may be singular).
+    """
+    b = np.maximum(b, 0.0)
+    step = max(2**16 // b.size, 1)  # values per chunk, bounding its (values, m, R) arrays
+
+    def f(c):
+        c = np.asarray(c, dtype=float)
+        if c.size > step:
+            parts = np.split(c.ravel(), np.arange(step, c.size, step))
+            return np.concatenate([f(part) for part in parts]).reshape(c.shape)
+        cb = c[..., None, None] * b
+        return const - 0.5 * (np.sum(np.log1p(cb), axis=-1) @ omega
+                              + np.sum(a / (1.0 + cb), axis=(-2, -1)))
+
+    return f
+
+
 def scaled_objective(problem: WeightedProblem, base: np.ndarray):
     """``c -> phi(c * base; w)``, taking an array of ``c`` (or one value).
 
-    For shared noise each value costs O(R) in the basis that whitens the
-    noise and diagonalizes ``base``; see
-    :meth:`WhitenedComponents.scaled_objective`.
+    A :func:`_diagonal_objective`, O(R) per value for shared noise and
+    O(n R) for per-observation noise (see the kernels' ``scaled_objective``).
     """
     base = np.asarray(base, dtype=float)
     return prepare_components(problem.dataset, base[None]).scaled_objective(0, problem)
 
 
-def scaled_update(problem: WeightedProblem, base: np.ndarray) -> float:
-    """Maximize ``phi(c * base; w)`` over ``c >= 0``.
+def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0.0) -> float:
+    """Maximize ``phi(c * base; w)`` over ``c >= 0``, never ending below ``current``.
 
     Scans a geometric grid (expanded until the objective stops growing at
     the upper edge) in one call of the :func:`scaled_objective` and polishes
@@ -554,7 +562,7 @@ def scaled_update(problem: WeightedProblem, base: np.ndarray) -> float:
                                        "maxiter": SCALAR_MAXITER})
         if np.isfinite(res.fun) and -res.fun > values[i]:
             best = float(res.x)
-    return max(best, 0.0)
+    return max(max(best, float(current), key=f), 0.0)
 
 
 def scale_factor_update(cov: np.ndarray, penalty: Penalty) -> float:

@@ -35,6 +35,9 @@ from ebmnm.solvers import (
 )
 
 
+pytestmark = pytest.mark.acceptance
+
+
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"\n[acceptance] criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number}: {detail}"

@@ -134,3 +134,52 @@ def test_rows_permute_and_duplicate_exactly_at_size(shared, n, r):
     dataset = Dataset(2.0 * rng.standard_normal((n, r)), noise)
     prior = MixturePrior(rng.dirichlet(np.ones(4)), np.stack([_pd(rng, r) for _ in range(4)]))
     _assert_row_properties(dataset, prior, rng.permutation(n))
+
+
+# Slack of the lfsr bounds, fixed before the first run: each one-sided
+# probability is a responsibility-weighted sum of at most four terms in
+# [0, 1], so rounding moves it by a few ulps.
+LFSR_SLACK = 1e-12
+
+
+@st.composite
+def lfsr_cases(draw):
+    """A dataset with either kind of noise and a random prior of 1-4 components.
+
+    Components are full rank, rank 1 or zero, and with or without axis
+    components ``c e_i e_i^T``; everything shares one scale, 1e-50, 1 or 1e50.
+    """
+    n = draw(st.integers(1, 30))
+    r = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.sampled_from([-50, 0, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dataset = _dataset(draw, rng, n, r, scale)
+    kinds = ["pd", "rank1", "zero"] + (["axis"] if draw(st.booleans()) else [])
+    covs = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "pd":
+            covs.append(scale * _pd(rng, r))
+        elif kind == "rank1":
+            u = rng.standard_normal(r)
+            covs.append(scale * np.outer(u, u))
+        else:
+            cov = np.zeros((r, r))
+            if kind == "axis":
+                i = rng.integers(r)
+                cov[i, i] = scale * rng.uniform(0.5, 20.0)
+            covs.append(cov)
+    prior = MixturePrior(rng.dirichlet(np.ones(len(covs))), np.stack(covs))
+    return dataset, prior, rng.choice(n, size=min(n, 5), replace=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lfsr_cases())
+def test_lfsr_in_unit_interval_and_above_half_only_at_point_masses(case):
+    dataset, prior, rows = case
+    lfsr = posterior.summarize(dataset, prior).lfsr
+    assert np.all((lfsr >= -LFSR_SLACK) & (lfsr <= 1.0 + LFSR_SLACK))
+    for j in rows:
+        pm = posterior.posterior_mixture(dataset, prior, j)
+        variances = np.diagonal(pm.covariances, axis1=1, axis2=2)
+        point_mass = (pm.weights[:, None] > 0) & (pm.means == 0.0) & (variances == 0.0)
+        assert np.all(point_mass.any(axis=0)[lfsr[j] > 0.5 + LFSR_SLACK])

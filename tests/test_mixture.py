@@ -163,7 +163,7 @@ class TestFit:
         assert ll_ted >= ll_ed - 1e-6
 
     def test_trace_monotone_across_configurations(self, rng):
-        base = random_psd(rng, 3)
+        bases = {"scaled": random_psd(rng, 3), "singular": np.ones((3, 3))}
         cases = [
             ("ted", Penalty.none(), ("free", "free"), True),
             ("ted", Penalty.inverse_wishart(3.0), ("free", "free"), True),
@@ -176,11 +176,12 @@ class TestFit:
             ("fa", Penalty.none(), ("rank1", "rank1"), True),
             ("fa", Penalty.none(), ("rank1", "scaled"), True),
             ("fa", Penalty.none(), ("rank1", "scaled"), False),
+            ("ed", Penalty.inverse_wishart(3.0), ("free", "singular"), False),
         ]
         for algorithm, penalty, kinds, shared in cases:
             ds = random_dataset(rng, 40, 3, shared=shared)
             constraints = tuple(
-                ComponentConstraint.scaled(base) if kind == "scaled"
+                ComponentConstraint.scaled(bases[kind]) if kind in bases
                 else ComponentConstraint(kind) for kind in kinds
             )
             init = random_init(3, 2, seed=17, constraints=constraints)

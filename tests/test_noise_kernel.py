@@ -1,10 +1,10 @@
 """Both noise kernels against naive per-row references.
 
-Log-densities, the ``ed`` moment and posterior summaries run as one stacked
-computation over the ``(n, R, R)`` per-observation noise, or in the whitened
-eigenbasis of a shared noise.  The references here loop over observations
-with plain numpy (``slogdet``, ``solve``, ``eigh``) and share no code with
-the package's kernels.
+Log-densities, the ``ed`` moment, the ``scaled`` objective and posterior
+summaries run as one stacked computation over the ``(n, R, R)``
+per-observation noise, or in the whitened eigenbasis of a shared noise.  The
+references here loop over observations with plain numpy (``slogdet``,
+``solve``, ``eigh``) and share no code with the package's kernels.
 """
 
 import numpy as np
@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
-from ebmnm import linalg
-from ebmnm.core import Dataset, MixturePrior
+from ebmnm import linalg, mixture, sim, solvers
+from ebmnm.core import Dataset, FitConfig, MixturePrior
 from ebmnm.exceptions import NumericalFailureError
 from ebmnm.posterior import summarize
-from ebmnm.solvers import WeightedProblem, component_loglik, ed_update
+from ebmnm.solvers import WeightedProblem, component_loglik, ed_update, scaled_update
 
 # Relative tolerance fixed from the dtype: reordered sums and a batched LU
 # solve in place of triangular solves change results by a few ulps times
@@ -174,3 +174,132 @@ class TestStackedCholeskyJitter:
         with pytest.raises(NumericalFailureError):
             component_loglik(dataset, np.diag([0.0, -2.0]))
 
+
+@st.composite
+def scaled_cases(draw):
+    """A weighted problem with either kind of noise, a ``scaled`` base and a multiple.
+
+    The noise, the base and the data share one scale, 1e-50, 1 or 1e50; the
+    base is the singular all-ones matrix or full rank, the data carry a
+    signal along the base, and the weights include zeros.
+    """
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, 6))
+    shared = draw(st.booleans())
+    singular = draw(st.booleans())
+    scale = 10.0 ** draw(st.sampled_from([-50, 0, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shared:
+        noise = scale * _psd(rng, r, "pd")
+    else:
+        noise = scale * np.stack([_psd(rng, r, "pd") for _ in range(n)])
+    base = scale * (np.ones((r, r)) if singular else _psd(rng, r, "pd"))
+    signal = rng.multivariate_normal(np.zeros(r), rng.uniform(1.0, 4.0) * base / scale, n)
+    x = np.sqrt(scale) * (signal + rng.standard_normal((n, r)))
+    w = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.2)
+    w[0] = max(w[0], 0.5)  # the weights must not all vanish
+    return WeightedProblem(Dataset(x, noise), w), base, 10.0 ** rng.uniform(-2.0, 2.0)
+
+
+def naive_weighted_loglik(problem, cov):
+    """``sum_j w_j log N(x_j; 0, cov + V_j)`` and the magnitude of its terms."""
+    values, scales = naive_logpdf(problem.dataset, cov)
+    return float(problem.weights @ values), float(problem.weights @ scales)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_cases())
+def test_scaled_objective_matches_per_row_reference(case):
+    problem, base, _ = case
+    f = solvers.scaled_objective(problem, base)
+    grid = np.array([0.0, 0.3, 1.0, 7.0])
+    for c, got, one in zip(grid, f(grid), [f(c) for c in grid]):
+        expected, size = naive_weighted_loglik(problem, c * base)
+        assert abs(got - expected) <= TOL * size
+        assert abs(one - expected) <= TOL * size
+    # Rounding-level eigenvalues of a singular base must not turn negative.
+    assert np.all(np.isfinite(f(np.array([1e20, 1e40]))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_cases())
+def test_scaled_update_never_ends_below_current(case):
+    problem, base, current = case
+    c = scaled_update(problem, base, current)
+    f = solvers.scaled_objective(problem, base)
+    assert c >= 0.0
+    assert f(c) >= f(current)
+    assert f(c) >= f(scaled_update(problem, base))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_cases(), st.integers(-8, 8))
+def test_scaled_update_scales_with_the_data(case, k):
+    problem, base, _ = case
+    dataset = problem.dataset
+    scaled = Dataset(2.0 ** k * dataset.x, 4.0 ** k * dataset.noise)
+    c = scaled_update(problem, base)
+    c_scaled = scaled_update(WeightedProblem(scaled, problem.weights), base)
+    np.testing.assert_allclose(c_scaled, 4.0 ** k * c, rtol=1e-6)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_scaled_update_keeps_a_better_current(shared):
+    """Data far below the base's scale: the optimum lies under the grid's floor."""
+    rng = np.random.default_rng(4)
+    n, r, s = 200, 3, 1e-50
+    base = np.ones((r, r)) + np.eye(r)
+    x = np.sqrt(s) * (rng.multivariate_normal(np.zeros(r), 2.0 * base, size=n)
+                      + rng.standard_normal((n, r)))
+    noise = s * np.eye(r) if shared else np.stack([s * np.eye(r)] * n)
+    problem = WeightedProblem(Dataset(x, noise), np.ones(n))
+    f = solvers.scaled_objective(problem, base)
+    c = scaled_update(problem, base, 2.0 * s)
+    assert f(c) >= f(2.0 * s)
+
+
+def test_chunked_scaled_objective_matches_single_values():
+    """A per-observation grid too large for one chunk gives each value's result."""
+    rng = np.random.default_rng(8)
+    n, r = 3000, 5
+    noise = np.stack([_psd(rng, r, "pd") for _ in range(n)])
+    problem = WeightedProblem(Dataset(2.0 * rng.standard_normal((n, r)), noise),
+                              rng.uniform(0.0, 1.0, n))
+    base = np.ones((r, r))
+    f = solvers.scaled_objective(problem, base)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 80)])
+    single = np.array([f(c) for c in grid])
+    np.testing.assert_allclose(f(grid), single, rtol=1e-13)
+    np.testing.assert_allclose(f(grid.reshape(9, 9)), single.reshape(9, 9), rtol=1e-13)
+    for c in (0.0, 0.5, 20.0):
+        np.testing.assert_allclose(f(c), solvers.weighted_loglik(problem, c * base), rtol=1e-12)
+
+
+class TestNoiseFarBelowPrior:
+    """Per-observation ``ed`` with noise many orders below ``U``.
+
+    ``U - U (U + V_j)^{-1} U`` cancels to rounding there; the posterior
+    covariance ``U (U + V_j)^{-1} V_j`` does not.
+    """
+
+    def test_zero_data_step_returns_the_noise(self):
+        rng = np.random.default_rng(0)
+        n, r = 6, 3
+        a = rng.standard_normal((r, r))
+        u = np.eye(r) + 0.01 * (a + a.T)
+        dataset = Dataset(np.zeros((n, r)), np.stack([1e-200 * np.eye(r)] * n))
+        got = ed_update(WeightedProblem(dataset, np.ones(n)), u)
+        assert np.abs(got - 1e-200 * np.eye(r)).max() <= 1e-12 * 1e-200
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tiny_scale_fit_matches_shared_noise(self, seed):
+        train, _ = sim.generate(sim.Scenario("hybrid", n=300, dim=4, seed=5))
+        x = 1e-100 * train.x
+        init = mixture.random_init(4, 10, seed=seed)
+        config = FitConfig("ed", max_iterations=50, tolerance=1e-300)
+        shared = mixture.fit(Dataset(x, 1e-200 * np.eye(4)), init, config).trace
+        per_obs = mixture.fit(Dataset(x, np.stack([1e-200 * np.eye(4)] * 300)), init,
+                              config).trace
+        objective = per_obs.objective
+        assert np.diff(objective).min() >= -1e-12 * np.abs(objective).max()
+        np.testing.assert_allclose(objective[-1], shared.objective[-1], rtol=1e-12)
