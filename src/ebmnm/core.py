@@ -126,7 +126,7 @@ class Dataset:
 
 def _observation(dataset: Dataset, j: int) -> Dataset:
     """Observation ``j`` as a one-row dataset that reuses a shared noise's factors."""
-    row = Dataset(dataset.x[j:j + 1], dataset.noise_for(j))
+    row = Dataset(dataset.x[j][None], dataset.noise_for(j))
     if dataset.shared_noise:
         row.__dict__.update(noise_cholesky=dataset.noise_cholesky,
                             noise_whitener=dataset.noise_whitener)

@@ -130,16 +130,13 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _t(inverse) @ (inverse @ b)
 
 
-def mvn_logpdf_zero_mean(x: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def mvn_logpdf_zero_mean(x: np.ndarray, whitener: np.ndarray) -> np.ndarray:
     """Log density of ``N(0, cov_j)`` at each row ``x_j`` of ``x``.
 
-    ``x`` is ``(n, R)`` and ``cov`` an ``(n, R, R)`` stack, one matrix per
-    row; evaluated through the stacked Cholesky factors.  Returns shape
-    ``(n,)``.
+    ``x`` is ``(n, R)`` and ``whitener`` the ``(n, R, R)`` stack of inverse
+    Cholesky factors ``W_j = L_j^{-1}``, ``cov_j = L_j L_j^T``, so that
+    ``log det cov_j = -2 sum log diag W_j``.  Returns shape ``(n,)``.
     """
-    r = x.shape[1]
-    lower = cholesky_with_jitter(cov)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
-    # numpy's batched LU solve is far faster than a loop of triangular solves.
-    z = np.linalg.solve(lower, x[:, :, None])[:, :, 0]
-    return -0.5 * (r * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=1))
+    logdet = -2.0 * np.sum(np.log(np.diagonal(whitener, axis1=1, axis2=2)), axis=1)
+    z = (whitener @ x[:, :, None])[:, :, 0]
+    return -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=1))

@@ -131,6 +131,7 @@ class _State:
         self.covariances = [u.copy() for u in prior.covariances]
         self.scales = prior.scales.copy()
         self.constraints = prior.constraints
+        self.evaluation = None  # (components, log-densities) of the covariances
 
     def to_prior(self) -> MixturePrior:
         return MixturePrior(
@@ -187,13 +188,10 @@ def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
 
 def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algorithm: str,
               penalty: Penalty, max_iterations: int, tolerance: float | None,
-              trace: list | None, t0: float, evaluation: tuple | None = None
-              ) -> tuple[bool, int, tuple]:
-    """Run EM iterations in place.
+              trace: list | None, t0: float) -> tuple[bool, int]:
+    """Run EM iterations in place; returns (converged, iterations run).
 
-    ``evaluation``, if given, must be the ``(components, log-densities)``
-    of the current state.  Returns (converged, iterations run, evaluation
-    of the final state).
+    Starts from ``state.evaluation`` when set and leaves the final one there.
     """
     n = dataset.n_obs
     whitened_penalty = free_algorithm == "ted"
@@ -206,7 +204,7 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         return math.fsum(log_totals.ravel().tolist()) - _penalty_total(state, penalty, spectra)
 
     # One log-sum-exp per E-step, for the objective and the next responsibilities.
-    components, log_dens = evaluation or evaluate()
+    components, log_dens = state.evaluation or evaluate()
     logw, log_totals = _log_weighted(state.weights, log_dens)
     previous = None
     if trace is not None:
@@ -231,6 +229,7 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
             if free and penalty.active:
                 rescaled.append(k)
         iteration += 1
+        state.evaluation = components = None  # hold one kernel's factors at a time
         components, log_dens = evaluate()
         logw, log_totals = _log_weighted(state.weights, log_dens)
         spectra = _penalty_spectra(components, penalty, whitened_penalty)
@@ -244,7 +243,8 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
                 converged = True
                 break
             previous = current
-    return converged, iteration, (components, log_dens)
+    state.evaluation = (components, log_dens)
+    return converged, iteration
 
 
 def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
@@ -270,17 +270,16 @@ def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
     config.validate_for(dataset, init)
     state = _State(init)
     t0 = time.perf_counter()
-    evaluation = None
     if config.warm_start_iterations > 0:
         # ed has no closed form under the nuclear-norm penalty; warm starts
         # for nn configurations run unpenalized.
         warm_penalty = config.penalty if config.penalty.kind != "nn" else Penalty.none()
-        _, _, evaluation = _em_phase(dataset, state, "ed", config.algorithm, warm_penalty,
-                                     config.warm_start_iterations, None, None, t0)
+        _em_phase(dataset, state, "ed", config.algorithm, warm_penalty,
+                  config.warm_start_iterations, None, None, t0)
     records: list = []
-    converged, iterations, _ = _em_phase(
+    converged, iterations = _em_phase(
         dataset, state, config.algorithm, config.algorithm, config.penalty,
-        config.max_iterations, config.tolerance, records, t0, evaluation,
+        config.max_iterations, config.tolerance, records, t0,
     )
     its, objs, secs = zip(*records)
     trace = FitTrace(np.array(its), np.array(objs), np.array(secs), converged, iterations)

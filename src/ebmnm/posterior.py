@@ -66,7 +66,7 @@ def _check_dims(dataset: Dataset, prior: MixturePrior) -> None:
 
 
 def posterior_mixture(dataset: Dataset, prior: MixturePrior, j: int) -> PosteriorMixture:
-    """Exact posterior mixture for observation ``j``."""
+    """Exact posterior mixture for observation ``j``; a negative ``j`` counts from the end."""
     _check_dims(dataset, prior)
     single = solvers.prepare_components(_observation(dataset, j), prior.covariances)
     weights = mixture._responsibilities_from(prior.weights, single.log_densities())[0]

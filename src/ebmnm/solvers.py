@@ -27,8 +27,8 @@ which log-densities, the ``ed`` step, the ``scaled`` objective and the
 posterior moments are diagonal formulas in each ``Q_k`` basis, read against
 the whitened rows ``L^{-1} x_j`` cached on :class:`~ebmnm.core.Dataset`.  No
 ``U_k + V`` is factored, and ``V`` itself is factored once per dataset.  For
-per-observation noise it returns :class:`StackedComponents`: a stacked
-Cholesky of ``U_k + V_j`` and stacked solves, no loop over observations.
+per-observation noise it returns :class:`StackedComponents`: one stacked
+inverse Cholesky factor of each ``U_k + V_j``, read by all its methods.
 Both kernels hand the ``scaled`` objective to :func:`_diagonal_objective`, and
 their ``ed`` steps average the posterior second moments.
 
@@ -206,21 +206,26 @@ class StackedComponents:
     """Covariances ``U_k`` against per-observation noise ``V_j``.
 
     Runs the stacked kernel of :mod:`ebmnm.linalg` on the ``(n, R, R)``
-    noise: a stacked Cholesky of ``U_k + V_j`` and stacked solves, with no
-    loop over observations.  The ``ed`` step reads :meth:`posterior_moments`.
+    noise: each ``U_k + V_j`` is factored once, into :attr:`whiteners`, with
+    no loop over observations.  The ``ed`` step reads :meth:`posterior_moments`.
     """
 
     def __init__(self, dataset: Dataset, covariances: np.ndarray):
         self.dataset = dataset
         self.covariances = np.asarray(covariances, dtype=float)
 
+    @cached_property
+    def whiteners(self) -> list[np.ndarray]:
+        """One ``(n, R, R)`` stack ``W_kj = L_kj^{-1}``, ``U_k + V_j = L_kj L_kj^T``, per k.
+
+        Formed on first use, since the ``scaled`` objective reads none."""
+        noise = self.dataset.noise
+        return [np.linalg.inv(linalg.cholesky_with_jitter(u + noise)) for u in self.covariances]
+
     def log_densities(self) -> np.ndarray:
         """``log N(x_j; 0, U_k + V_j)`` with shape (n, K)."""
-        x, noise = self.dataset.x, self.dataset.noise
-        out = np.empty((len(x), len(self.covariances)))
-        for k, u in enumerate(self.covariances):
-            out[:, k] = linalg.mvn_logpdf_zero_mean(x, u + noise)
-        return out
+        x = self.dataset.x
+        return np.column_stack([linalg.mvn_logpdf_zero_mean(x, w) for w in self.whiteners])
 
     def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
         """The :func:`ed_update` average of ``C_j + m_j m_j^T`` from :meth:`posterior_moments`."""
@@ -274,11 +279,11 @@ class StackedComponents:
         """Posterior means ``(n, R)`` and covariances ``(n, R, R)``.
 
         Row ``j`` of the means is ``P_j x_j`` and covariance ``j`` is
-        ``sym(P_j V_j)``, with ``P_j = U_k (U_k + V_j)^{-1}``.
+        ``sym(P_j V_j)``, with ``P_j = U_k (U_k + V_j)^{-1} = U_k W_kj^T W_kj``.
         """
-        u, noise = self.covariances[k], self.dataset.noise
-        p = linalg.solve_psd(u + noise, u).swapaxes(1, 2)
-        return (p @ self.dataset.x[:, :, None])[:, :, 0], linalg.sym(p @ noise)
+        w = self.whiteners[k]
+        p = (w.swapaxes(1, 2) @ (w @ self.covariances[k])).swapaxes(1, 2)
+        return (p @ self.dataset.x[:, :, None])[:, :, 0], linalg.sym(p @ self.dataset.noise)
 
 
 def prepare_components(dataset: Dataset, covariances: np.ndarray):
@@ -427,12 +432,6 @@ def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
     return np.where((newton > 0) & (g(newton) >= g(e)), newton, e)
 
 
-def solve_penalized_eigenvalue(d: float, total_weight: float, penalty: Penalty,
-                               scale: float) -> float:
-    """Single-eigenvalue version of :func:`solve_penalized_spectrum`."""
-    return float(solve_penalized_spectrum(np.array([d]), total_weight, penalty, scale)[0])
-
-
 def _unwhiten(dataset: Dataset, m: np.ndarray) -> np.ndarray:
     """``L m L^T``: a symmetric matrix in whitened coordinates, in data coordinates."""
     lower = dataset.noise_cholesky
@@ -540,12 +539,15 @@ def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0
 
     Scans a geometric grid (expanded until the objective stops growing at
     the upper edge) in one call of the :func:`scaled_objective` and polishes
-    the best grid point's bracket with bounded Brent.
+    the best grid point's bracket with bounded Brent.  Both scale with the
+    data's weighted second moment; zero weighted data give 0.
     """
-    f = scaled_objective(problem, base)
     x = problem.dataset.x
     s_w = float(np.sum((x * problem.weights[:, None]) * x)) / problem.total_weight
-    guess = max(s_w / max(np.trace(base), 1e-300), 1e-12)
+    if s_w == 0.0:
+        return 0.0
+    f = scaled_objective(problem, base)
+    guess = s_w / np.trace(base)
     lo_c, hi_c = 1e-6 * guess, 1e3 * guess
     for _ in range(6):
         grid = np.concatenate([[0.0], np.geomspace(lo_c, hi_c, 80)])
@@ -558,7 +560,7 @@ def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0
     best = float(grid[i])
     if hi > lo:
         res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
-                              options={"xatol": max(1e-9 * guess, 1e-15),
+                              options={"xatol": 1e-9 * guess,
                                        "maxiter": SCALAR_MAXITER})
         if np.isfinite(res.fun) and -res.fun > values[i]:
             best = float(res.x)

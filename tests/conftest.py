@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ebmnm import linalg
 from ebmnm.core import Dataset
 
 # Property tests replay the same examples on every run, so a failure is
@@ -38,3 +39,18 @@ def random_dataset(rng, n, dim, shared=True, noise_scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of the factorizing ``linalg`` helpers made while the test runs."""
+    calls = {"cholesky_with_jitter": 0, "solve_psd": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls

@@ -31,7 +31,7 @@ from ebmnm.solvers import (
     ed_update,
     penalty_from_eigenvalues,
     scale_factor_update,
-    solve_penalized_eigenvalue,
+    solve_penalized_spectrum,
 )
 
 
@@ -316,7 +316,7 @@ def test_criterion_8_closed_forms_match_grid():
         lam = float(rng.uniform(0.5, 50.0))
         s = float(np.exp(rng.uniform(np.log(0.01), np.log(20.0))))
         penalty = Penalty("iw" if i % 2 == 0 else "nn", lam)
-        e_hat = solve_penalized_eigenvalue(d, w, penalty, s)
+        e_hat = solve_penalized_spectrum(np.array([d]), w, penalty, s)[0]
         hi = 10.0 * max(d, s, 1.0)
         coarse = np.geomspace(1e-10, hi, 3000)
         e0 = coarse[np.argmax(_grid_eig_objective(coarse, d, w, penalty, s))]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
+from conftest import random_dataset, random_psd
 from ebmnm import linalg, mixture, sim, solvers
 from ebmnm.core import Dataset, FitConfig, MixturePrior
 from ebmnm.exceptions import NumericalFailureError
@@ -243,19 +244,35 @@ def test_scaled_update_scales_with_the_data(case, k):
     np.testing.assert_allclose(c_scaled, 4.0 ** k * c, rtol=1e-6)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_scaled_update_keeps_a_better_current(shared):
-    """Data far below the base's scale: the optimum lies under the grid's floor."""
+def _scaled_problem(shared, s):
+    """Effects ``N(0, 2 s base)`` under noise ``s I``, with base ``ones + I`` (R=3)."""
     rng = np.random.default_rng(4)
-    n, r, s = 200, 3, 1e-50
+    n, r = 200, 3
     base = np.ones((r, r)) + np.eye(r)
     x = np.sqrt(s) * (rng.multivariate_normal(np.zeros(r), 2.0 * base, size=n)
                       + rng.standard_normal((n, r)))
     noise = s * np.eye(r) if shared else np.stack([s * np.eye(r)] * n)
-    problem = WeightedProblem(Dataset(x, noise), np.ones(n))
+    return WeightedProblem(Dataset(x, noise), np.ones(n)), base
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_scaled_update_keeps_a_better_current(shared):
+    """Data far below the base's scale, with the optimum's neighbour as ``current``."""
+    s = 1e-50
+    problem, base = _scaled_problem(shared, s)
     f = solvers.scaled_objective(problem, base)
     c = scaled_update(problem, base, 2.0 * s)
     assert f(c) >= f(2.0 * s)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-20, 1e-50])
+@pytest.mark.parametrize("shared", [True, False])
+def test_scaled_update_finds_the_optimum_at_any_scale(shared, s):
+    """A fresh search scores at least the best of a dense grid around the optimum."""
+    problem, base = _scaled_problem(shared, s)
+    f = solvers.scaled_objective(problem, base)
+    best = f(s * np.geomspace(1e-2, 1e2, 4001)).max()
+    assert f(scaled_update(problem, base)) >= best - 1e-12 * abs(best)
 
 
 def test_chunked_scaled_objective_matches_single_values():
@@ -273,6 +290,25 @@ def test_chunked_scaled_objective_matches_single_values():
     np.testing.assert_allclose(f(grid.reshape(9, 9)), single.reshape(9, 9), rtol=1e-13)
     for c in (0.0, 0.5, 20.0):
         np.testing.assert_allclose(f(c), solvers.weighted_loglik(problem, c * base), rtol=1e-12)
+
+
+class TestStackFactoredOnce:
+    """A per-observation kernel factors each ``U_k + V_j`` once; nothing calls ``solve_psd``."""
+
+    def test_ed_fit(self, counts):
+        dataset = random_dataset(np.random.default_rng(4), 60, 4, shared=False)
+        init = mixture.random_init(4, 3, seed=3)
+        mixture.fit(dataset, init, FitConfig("ed", max_iterations=5))
+        # One kernel per evaluation: the initial state and each of 5 iterations.
+        assert counts == {"cholesky_with_jitter": 3 * 6, "solve_psd": 0}
+
+    def test_summarize(self, counts):
+        rng = np.random.default_rng(5)
+        dataset = random_dataset(rng, 60, 4, shared=False)
+        covs = np.stack([random_psd(rng, 4), np.zeros((4, 4)),
+                         np.outer([1.0, 2, 0, 1], [1.0, 2, 0, 1])])
+        summarize(dataset, MixturePrior(np.full(3, 1 / 3), covs))
+        assert counts == {"cholesky_with_jitter": 3, "solve_psd": 0}
 
 
 class TestNoiseFarBelowPrior:

@@ -76,6 +76,18 @@ class TestPosteriorMixture:
         with pytest.raises(DimensionMismatchError):
             posterior_mixture(ds, prior, 0)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_index_counts_from_the_end_and_rejects_out_of_range(self, rng, shared):
+        n = 4
+        ds = random_dataset(rng, n, 3, shared=shared)
+        prior = MixturePrior(np.array([0.3, 0.7]),
+                             np.stack([random_psd(rng, 3), np.zeros((3, 3))]))
+        last, wrapped = posterior_mixture(ds, prior, n - 1), posterior_mixture(ds, prior, -1)
+        for field in ("weights", "means", "covariances"):
+            assert getattr(wrapped, field).tobytes() == getattr(last, field).tobytes()
+        with pytest.raises(IndexError, match=f"index {n} is out of bounds"):
+            posterior_mixture(ds, prior, n)
+
 
 class TestLfsr:
     def test_symmetric_posterior_gives_half(self):

@@ -29,7 +29,6 @@ from ebmnm.solvers import (
     penalty_from_eigenvalues,
     scale_factor_update,
     scaled_update,
-    solve_penalized_eigenvalue,
     ted_rank1_update,
     ted_update,
     weighted_loglik,
@@ -173,7 +172,7 @@ class TestPenalizedEigenvalueSolver:
             lam = float(rng.uniform(0.5, 30.0))
             s = float(np.exp(rng.uniform(np.log(0.05), np.log(15.0))))
             penalty = Penalty(kind, lam)
-            e_hat = solve_penalized_eigenvalue(d, w, penalty, s)
+            e_hat = solvers.solve_penalized_spectrum(np.array([d]), w, penalty, s)[0]
             hi = 10.0 * max(d, s, 1.0)
             coarse = np.geomspace(1e-10, hi, 4000)
             g = self.eval_objective(coarse, d, w, penalty, s)
@@ -201,8 +200,9 @@ class TestPenalizedEigenvalueSolver:
         assert np.all(g_hat >= g_grid - 1e-12 * (1.0 + np.abs(g_hat)))
 
     def test_unpenalized_is_truncation(self):
-        assert solve_penalized_eigenvalue(3.0, 10.0, Penalty.none(), 1.0) == 2.0
-        assert solve_penalized_eigenvalue(0.5, 10.0, Penalty.none(), 1.0) == 0.0
+        d = np.array([3.0, 0.5])
+        np.testing.assert_array_equal(
+            solvers.solve_penalized_spectrum(d, 10.0, Penalty.none(), 1.0), [2.0, 0.0])
 
 
 class TestEdUpdate:

@@ -125,19 +125,6 @@ def test_spectrum_below_minus_one_raises():
 class TestNoiseFactoredOnce:
     """Shared-noise fits and summaries factor only the noise, once."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        calls = {"cholesky_with_jitter": 0, "solve_psd": 0}
-        for name in calls:
-            original = getattr(linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(linalg, name, counted)
-        return calls
-
     def _dataset(self, seed):
         rng = np.random.default_rng(seed)
         return Dataset(rng.standard_normal((60, 4)) * 2.0, random_psd(rng, 4))
