@@ -29,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mixture, posterior, sim
+from . import __version__, linalg, mixture, posterior, sim
 from .core import (
     ComponentConstraint,
     FitConfig,
+    MixturePrior,
     Penalty,
     load_dataset,
     load_matrix_csv,
@@ -132,18 +133,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _build_init(args, dim: int):
+def _build_init(args, dataset):
+    """``--init-prior``, or the unit-scale random draws ``U0_k`` as ``L U0_k L^T``.
+
+    ``L L^T`` is the shared noise or the per-observation stack's mean, so the
+    start scales with the data."""
     if args.init_prior:
         return load_prior(args.init_prior)
     constraints = tuple(ComponentConstraint(args.constraint) for _ in range(args.components))
-    return mixture.random_init(dim, args.components, args.seed, constraints)
+    init = mixture.random_init(dataset.dim, args.components, args.seed, constraints)
+    lower = (dataset.noise_cholesky if dataset.shared_noise
+             else linalg.cholesky_with_jitter(dataset.noise.mean(axis=0)))
+    return MixturePrior(init.weights, linalg.sym(lower @ init.covariances @ lower.T),
+                        init.scales, constraints)
 
 
 def cmd_fit(args) -> int:
     started = _now()
     out = _out_dir(args)
     dataset = load_dataset(args.x, args.noise)
-    init = _build_init(args, dataset.dim)
+    init = _build_init(args, dataset)
     config = FitConfig(
         algorithm=args.algorithm,
         penalty=_penalty_from_args(args.penalty, args.penalty_strength, dataset.dim),

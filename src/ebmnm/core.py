@@ -7,8 +7,8 @@ small dimension (tens of conditions, dimensions beyond a few hundred are
 untested) and potentially large sample counts.
 
 All types are immutable after construction and safe to share across workers.
-A shared noise covariance is factored once per :class:`Dataset`, whose
-cached whitening every shared-noise update of a fit reads.
+The noise is factored once per :class:`Dataset`, whose cached whitening
+every update of a fit that depends on the noise alone reads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .exceptions import (
@@ -44,10 +43,13 @@ FLOAT_FMT = "%.17g"
 ALGORITHMS = ("ted", "ed", "fa")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    return _read_only(np.array(a, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,12 @@ class Dataset:
         Noise covariance shared by all observations (2-d) or one matrix per
         observation (3-d).  Every matrix must be symmetric positive definite.
 
-    For shared noise ``V = L L^T`` the attributes :attr:`noise_cholesky`,
-    :attr:`noise_whitener` and :attr:`whitened_x` are computed once, on
-    first access, and kept read-only; for per-observation noise they raise
-    ``UnsupportedNoiseError``.  A dataset likewise records that it passed
-    :func:`validate_dataset`, so later calls do not repeat the checks.
+    The noise is factored once, on first use (``_noise_factor``).  For a
+    shared noise ``V = L L^T`` :attr:`noise_cholesky` is ``L``, and
+    :attr:`noise_whitener` and :attr:`whitened_x` are views of that factor;
+    for per-observation noise all three raise ``UnsupportedNoiseError``.  A
+    dataset likewise records that it passed :func:`validate_dataset`, so
+    later calls do not repeat the checks.
     """
 
     x: np.ndarray
@@ -92,30 +95,38 @@ class Dataset:
         """Noise covariance of observation ``j``."""
         return self.noise if self.shared_noise else self.noise[j]
 
+    def _check_shared(self) -> None:
+        if not self.shared_noise:
+            raise UnsupportedNoiseError("noise whitening needs a shared noise covariance")
+
     @cached_property
     def noise_cholesky(self) -> np.ndarray:
         """Lower Cholesky factor ``L`` of the shared noise ``V = L L^T``."""
-        if not self.shared_noise:
-            raise UnsupportedNoiseError("noise whitening needs a shared noise covariance")
-        lower = linalg.cholesky_with_jitter(self.noise)
-        lower.flags.writeable = False
-        return lower
+        self._check_shared()
+        return _read_only(linalg.cholesky_with_jitter(self.noise))
 
     @cached_property
     def noise_whitener(self) -> np.ndarray:
         """The whitener ``L^{-1}``, so ``L^{-1} V L^{-T} = I``."""
-        whitener = scipy.linalg.solve_triangular(self.noise_cholesky, np.eye(self.dim),
-                                                 lower=True, check_finite=False)
-        whitener.flags.writeable = False
-        return whitener
+        self._check_shared()
+        return self._noise_factor[0][0]
 
     @cached_property
     def whitened_x(self) -> np.ndarray:
         """Whitened observations, row ``j`` being ``L^{-1} x_j``; shape (n, R)."""
-        xt = scipy.linalg.solve_triangular(self.noise_cholesky, self.x.T, lower=True,
-                                           check_finite=False)
-        xt.flags.writeable = False
-        return xt.T
+        self._check_shared()
+        return self._noise_factor[2]
+
+    @cached_property
+    def _noise_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(W, logdet, z)`` of the noise as m = 1 (shared, reusing ``L``) or
+        m = n matrices ``V_j = L_j L_j^T``: the exact inverse factors ``W_j = L_j^{-1}``,
+        ``log det V_j`` and the whitened rows ``z_j = W_j x_j``."""
+        lower = (self.noise_cholesky[None] if self.shared_noise
+                 else linalg.cholesky_with_jitter(self.noise))
+        logdets = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+        whiteners = _read_only(linalg.inv_lower(lower))
+        return whiteners, _read_only(logdets), _read_only(linalg.per_row(whiteners, self.x))
 
     @cached_property
     def _validated(self) -> Dataset:
@@ -125,11 +136,10 @@ class Dataset:
 
 
 def _observation(dataset: Dataset, j: int) -> Dataset:
-    """Observation ``j`` as a one-row dataset that reuses a shared noise's factors."""
+    """Observation ``j`` as a one-row dataset that reuses a shared noise's factor."""
     row = Dataset(dataset.x[j][None], dataset.noise_for(j))
     if dataset.shared_noise:
-        row.__dict__.update(noise_cholesky=dataset.noise_cholesky,
-                            noise_whitener=dataset.noise_whitener)
+        row.__dict__.update(noise_cholesky=dataset.noise_cholesky)
     return row
 
 

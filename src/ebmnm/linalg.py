@@ -5,9 +5,8 @@ wraps LAPACK routines with the tolerance conventions used by the rest of the
 code: eigenvalues above ``-PSD_RTOL`` times the spectral radius count as
 nonnegative, and Cholesky factorizations get one jitter retry before failing.
 
-The stacked helpers take one ``(R, R)`` matrix per observation, as an
-``(n, R, R)`` stack, and serve per-observation noise only; a shared noise is
-handled in its whitened eigenbasis (:class:`ebmnm.solvers.WhitenedComponents`).
+The stacked helpers take an ``(m, R, R)`` stack: a dataset's noise (m = 1
+shared, m = n per observation) or the per-observation ``U_k + V_j``.
 """
 
 from dataclasses import dataclass
@@ -119,14 +118,30 @@ def cholesky_with_jitter(a: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def inv_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix or stack, as ``inv(L^T)^T``.
+
+    The LU of ``L^T`` has nothing to pivot, so the result is exactly lower
+    triangular with diagonal exactly ``1 / l_ii``; ``inv(L)`` pivots.
+    """
+    return _t(np.linalg.inv(_t(lower)))
+
+
+def per_row(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a_j r_j`` ``(n, p)`` for rows ``(n, R)`` and a stack ``(m, p, R)``, m = 1 or n."""
+    if len(stack) == 1:
+        return rows @ stack[0].T
+    return (stack @ rows[:, :, None])[:, :, 0]
+
+
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a_i x_i = b_i`` for an ``(m, R, R)`` stack of SPD matrices.
 
     ``b`` is ``(m, R, c)`` or an ``(R, c)`` matrix shared by every ``a_i``;
     the result is ``(m, R, c)``.
     """
-    # One batched LU inverts the stacked factors; a_i^{-1} = L_i^{-T} L_i^{-1}.
-    inverse = np.linalg.inv(cholesky_with_jitter(a))
+    # a_i^{-1} = L_i^{-T} L_i^{-1} from the stacked inverse factors.
+    inverse = inv_lower(cholesky_with_jitter(a))
     return _t(inverse) @ (inverse @ b)
 
 

@@ -19,7 +19,7 @@ the rows of ``U_k``, so a coordinate where ``U_k`` has a zero row gets an
 exactly zero mean and variance under either kernel.  Rounding can leave a
 variance slightly below zero; the summaries clamp it at zero.
 ``posterior_mixture`` is the same computation on a one-row slice, which
-reuses the parent dataset's factors of a shared noise.
+reuses the parent dataset's Cholesky factor of a shared noise.
 
 Sign convention at point masses: a component with zero variance and zero
 mean at a coordinate contributes its full weight to BOTH one-sided

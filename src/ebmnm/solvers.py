@@ -13,24 +13,22 @@ polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
 ``scaled_update`` handles the one-dimensional problem ``U = c * base``.
 
-With a shared noise ``V = L L^T`` the data enter a weighted problem only
+With a shared noise ``V = L L^T`` the data enter ``ted`` and ``ed`` only
 through :attr:`WeightedProblem.whitened_gram`, ``S = sum_j w_j z_j z_j^T``
-with ``z_j = L^{-1} x_j``: ``ted`` reads the spectrum of ``S / W``, ``ed``
-reads ``S`` and ``scaled`` reads ``q^T S q`` along its basis directions.
+with ``z_j = L^{-1} x_j``: ``ted`` reads the spectrum of ``S / W`` and
+``ed`` reads ``S``.  The ``scaled`` objective and the ``fa`` step depend on
+the noise alone, so each is one function that reads the dataset's noise
+factor: a stack of m = 1 (shared) or m = n (per-observation) inverse
+Cholesky factors ``W_j`` with the whitened rows ``z_j = W_j x_j``.
 
-:func:`prepare_components` sets covariances up against the noise, and the
-kind of noise picks the kernel class in one place (``_kernel``), which
-``fa_update`` reads as well.  For a shared noise it returns
-:class:`WhitenedComponents`: one stacked eigendecomposition
-``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` of all K components, after
-which log-densities, the ``ed`` step, the ``scaled`` objective and the
-posterior moments are diagonal formulas in each ``Q_k`` basis, read against
-the whitened rows ``L^{-1} x_j`` cached on :class:`~ebmnm.core.Dataset`.  No
-``U_k + V`` is factored, and ``V`` itself is factored once per dataset.  For
-per-observation noise it returns :class:`StackedComponents`: one stacked
-inverse Cholesky factor of each ``U_k + V_j``, read by all its methods.
-Both kernels hand the ``scaled`` objective to :func:`_diagonal_objective`, and
-their ``ed`` steps average the posterior second moments.
+:func:`prepare_components` sets covariances up against the noise.  For a
+shared noise it returns :class:`WhitenedComponents`: one stacked
+eigendecomposition ``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T`` of all K
+components, after which log-densities, the ``ed`` step and the posterior
+moments are diagonal formulas in each ``Q_k`` basis.  No ``U_k + V`` is
+factored.  For per-observation noise it returns :class:`StackedComponents`:
+one stacked inverse Cholesky factor of each ``U_k + V_j``, read by all its
+methods.  Both kernels' ``ed`` steps average the posterior second moments.
 
 Both kernels write the posterior moments of component ``k`` the same way:
 ``U_k A_kj^{-1}`` with ``A_kj = U_k + V_j``, applied to ``x_j`` for the means
@@ -45,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from . import linalg
@@ -133,8 +130,7 @@ class WhitenedComponents:
 
     def _constant(self) -> float:
         """``-1/2 (R log 2 pi + log det V)``."""
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(self.dataset.noise_cholesky))))
-        return -0.5 * (self.dataset.dim * np.log(2.0 * np.pi) + logdet)
+        return -0.5 * (self.dataset.dim * np.log(2.0 * np.pi) + self.dataset._noise_factor[1][0])
 
     def log_densities(self) -> np.ndarray:
         """``log N(x_j; 0, U_k + V)`` with shape (n, K), one GEMM per component."""
@@ -163,29 +159,6 @@ class WhitenedComponents:
         else:
             new = moment / total
         return _unwhiten(self.dataset, linalg.sym(new))
-
-    def scaled_objective(self, k: int, problem: WeightedProblem):
-        """``c -> phi(c * U_k; w)`` over an array of ``c``, O(R) per value.
-
-        ``c U_k + V = L Q_k (I + c diag(e_k)) Q_k^T L^T``, so
-        :func:`_diagonal_objective` has one term: ``omega = W`` and
-        ``A_i = q_i^T S q_i`` (columns ``q_i`` of ``Q_k``, ``S`` the problem's
-        ``whitened_gram``).
-        """
-        q, w = self.vectors[k], problem.total_weight
-        s_w = np.sum(q * (problem.whitened_gram @ q), axis=0)
-        return _diagonal_objective(w * self._constant(), np.array([w]), self.values[k][None],
-                                   s_w[None])
-
-    @staticmethod
-    def fa_step(problem: WeightedProblem, u: np.ndarray) -> np.ndarray:
-        """:func:`fa_update`; with shared noise V factors out of the linear system."""
-        dataset, w, x = problem.dataset, problem.weights, problem.dataset.x
-        viu = scipy.linalg.cho_solve((dataset.noise_cholesky, True), u)
-        sigma2 = 1.0 / (1.0 + float(u @ viu))
-        mu = sigma2 * (x @ viu)
-        denom = float(w @ (mu * mu + sigma2))
-        return ((w * mu) @ x) / denom
 
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, R)`` and the one posterior covariance ``(1, R, R)``.
@@ -216,11 +189,9 @@ class StackedComponents:
 
     @cached_property
     def whiteners(self) -> list[np.ndarray]:
-        """One ``(n, R, R)`` stack ``W_kj = L_kj^{-1}``, ``U_k + V_j = L_kj L_kj^T``, per k.
-
-        Formed on first use, since the ``scaled`` objective reads none."""
+        """One ``(n, R, R)`` stack ``W_kj = L_kj^{-1}``, ``U_k + V_j = L_kj L_kj^T``, per k."""
         noise = self.dataset.noise
-        return [np.linalg.inv(linalg.cholesky_with_jitter(u + noise)) for u in self.covariances]
+        return [linalg.inv_lower(linalg.cholesky_with_jitter(u + noise)) for u in self.covariances]
 
     def log_densities(self) -> np.ndarray:
         """``log N(x_j; 0, U_k + V_j)`` with shape (n, K)."""
@@ -239,42 +210,6 @@ class StackedComponents:
             new = moment / total
         return linalg.sym(new)
 
-    def scaled_objective(self, k: int, problem: WeightedProblem):
-        """``c -> phi(c * U_k; w)`` over an array of ``c``, O(n R) per value.
-
-        :func:`_diagonal_objective` of ``L_j^{-1} U_k L_j^{-T} = Q_j diag(b_j) Q_j^T``
-        (``V_j = L_j L_j^T``), ``omega_j = w_j`` and ``A_ji = w_j (Q_j^T L_j^{-1} x_j)_i^2``.
-        """
-        dataset, w = self.dataset, problem.weights
-        e, vectors = np.linalg.eigh(self.covariances[k])
-        root = vectors * np.sqrt(np.maximum(e, 0.0))  # U_k = root root^T
-        # One name holds each (n, R, R) stack in turn, so at most two are alive.
-        stack = linalg.cholesky_with_jitter(dataset.noise)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(stack, axis1=1, axis2=2)), axis=1)
-        stack = np.linalg.inv(stack)
-        z = stack @ dataset.x[:, :, None]
-        stack = stack @ root
-        stack = stack @ stack.swapaxes(1, 2)
-        b, stack = np.linalg.eigh(stack)
-        y = (stack.swapaxes(1, 2) @ z)[:, :, 0]
-        const = -0.5 * float(w @ (dataset.dim * np.log(2.0 * np.pi) + logdet))
-        return _diagonal_objective(const, w, b, w[:, None] * y * y)
-
-    @staticmethod
-    def fa_step(problem: WeightedProblem, u: np.ndarray) -> np.ndarray:
-        """:func:`fa_update`, solving the R x R system of the stacked ``V_j^{-1}``."""
-        dataset, w, x = problem.dataset, problem.weights, problem.dataset.x
-        v_inv = linalg.solve_psd(dataset.noise, np.eye(dataset.dim))
-        viu = v_inv @ u
-        sigma2 = 1.0 / (1.0 + viu @ u)
-        mu = sigma2 * np.sum(viu * x, axis=1)
-        system = np.einsum("j,jab->ab", w * (mu * mu + sigma2), v_inv)
-        rhs = (w * mu) @ (v_inv @ x[:, :, None])[:, :, 0]
-        try:
-            return np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
-
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, R)`` and covariances ``(n, R, R)``.
 
@@ -291,15 +226,10 @@ def prepare_components(dataset: Dataset, covariances: np.ndarray):
 
     Shared noise gets :class:`WhitenedComponents`, per-observation noise
     :class:`StackedComponents`.  Both offer ``log_densities()``,
-    ``ed_update(k, problem)``, ``scaled_objective(k, problem)``,
-    ``posterior_moments(k)`` and the static ``fa_step(problem, u)``.
+    ``ed_update(k, problem)`` and ``posterior_moments(k)``.
     """
-    return _kernel(dataset)(dataset, covariances)
-
-
-def _kernel(dataset: Dataset):
-    """The one place where the kind of noise picks the kernel class."""
-    return WhitenedComponents if dataset.shared_noise else StackedComponents
+    kernel = WhitenedComponents if dataset.shared_noise else StackedComponents
+    return kernel(dataset, covariances)
 
 
 def component_loglik(dataset: Dataset, cov: np.ndarray) -> np.ndarray:
@@ -496,11 +426,28 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
         u_new = (sum_j w_j (mu_j^2 + sigma_j^2) V_j^{-1})^{-1}
                 (sum_j w_j mu_j V_j^{-1} x_j).
 
-    Never decreases ``phi(u u^T; w)``.
+    Never decreases ``phi(u u^T; w)``.  ``V_j^{-1} = W_j^T W_j`` from the noise
+    factor; one noise matrix factors out of the system, leaving a closed form.
     """
     if problem.penalty.active:
         raise UnsupportedPenaltyError("penalties are not supported with fa")
-    return _kernel(problem.dataset).fa_step(problem, np.asarray(current, dtype=float))
+    dataset, w, x = problem.dataset, problem.weights, problem.dataset.x
+    whiteners, _, z = dataset._noise_factor
+    u = np.asarray(current, dtype=float)
+    viu = ((whiteners @ u)[:, None, :] @ whiteners)[:, 0]  # V_j^{-1} u, (m, R)
+    sigma2 = 1.0 / (1.0 + viu @ u)
+    mu = sigma2 * linalg.per_row(viu[:, None, :], x)[:, 0]
+    spread = mu * mu + sigma2
+    if len(whiteners) == 1:
+        return ((w * mu) @ x) / float(w @ spread)
+    # The system sum_j w_j (mu_j^2 + sigma_j^2) W_j^T W_j, summed over the rows of every W_j.
+    rows = whiteners.reshape(-1, dataset.dim)
+    system = (rows * np.repeat(w * spread, dataset.dim)[:, None]).T @ rows
+    rhs = rows.T @ ((w * mu)[:, None] * z).ravel()
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"fa system matrix is singular: {exc}") from exc
 
 
 def _diagonal_objective(const: float, omega: np.ndarray, b: np.ndarray, a: np.ndarray):
@@ -527,11 +474,24 @@ def _diagonal_objective(const: float, omega: np.ndarray, b: np.ndarray, a: np.nd
 def scaled_objective(problem: WeightedProblem, base: np.ndarray):
     """``c -> phi(c * base; w)``, taking an array of ``c`` (or one value).
 
-    A :func:`_diagonal_objective`, O(R) per value for shared noise and
-    O(n R) for per-observation noise (see the kernels' ``scaled_objective``).
+    With ``W_j B W_j^T = Q_j diag(b_j) Q_j^T`` from the noise factor, the
+    :func:`_diagonal_objective` of ``b_j``, ``omega_j = w_j`` and
+    ``A_ji = w_j (Q_j^T z_j)_i^2``, summed over the rows of each noise matrix
+    first: O(R) per value for a shared noise, O(n R) for per-observation noise.
     """
-    base = np.asarray(base, dtype=float)
-    return prepare_components(problem.dataset, base[None]).scaled_objective(0, problem)
+    dataset, w = problem.dataset, problem.weights
+    whiteners, logdets, z = dataset._noise_factor
+    m, r = len(whiteners), dataset.dim
+    e, vectors = np.linalg.eigh(np.asarray(base, dtype=float))
+    # One name holds each (m, R, R) stack in turn; B = root root^T.
+    stack = whiteners @ (vectors * np.sqrt(np.maximum(e, 0.0)))
+    stack = stack @ stack.swapaxes(1, 2)
+    b, stack = np.linalg.eigh(stack)
+    y = linalg.per_row(stack.swapaxes(1, 2), z)
+    omega = w.reshape(m, -1).sum(axis=1)
+    a = (w[:, None] * y * y).reshape(m, -1, r).sum(axis=1)
+    const = -0.5 * float(omega @ (r * np.log(2.0 * np.pi) + logdets))
+    return _diagonal_objective(const, omega, b, a)
 
 
 def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0.0) -> float:

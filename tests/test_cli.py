@@ -108,6 +108,39 @@ class TestFit:
         assert str(sim_dir / "x.csv") in doc["inputs"]
 
 
+# Fixed before the first run: the scaled fit repeats the unscaled one step
+# for step up to rounding, which the data, the noise and the start drawn on
+# the noise's scale carry through every iteration.
+SCALE_RTOL = 1e-8
+
+
+def _posterior_means(x, noise, algorithm, out):
+    assert run("fit", "--x", str(x), "--noise", str(noise), "--algorithm", algorithm,
+               "--max-iterations", "100", "--seed", "4", "--out", str(out / "fit")) == 0
+    assert run("posterior", "--x", str(x), "--noise", str(noise), "--prior",
+               str(out / "fit" / "prior.json"), "--out", str(out / "post")) == 0
+    return np.loadtxt(out / "post" / "summary.csv", delimiter=",", skiprows=1)[:, 3]
+
+
+class TestScaleFreeStart:
+    """Data times ``s`` with noise times ``s^2`` give posterior means times ``s``."""
+
+    @pytest.mark.parametrize("algorithm", ["ted", "ed"])
+    @pytest.mark.parametrize("s", [1e-50, 1e-3, 1e3, 1e50])
+    def test_posterior_means_scale_with_the_data(self, tmp_path, algorithm, s):
+        sim_out = tmp_path / "sim"
+        assert run("simulate", "--scenario", "hybrid", "--n", "500", "--R", "5",
+                   "--seed", "3", "--out", str(sim_out)) == 0
+        core.save_matrix_csv(tmp_path / "x.csv", s * load_matrix_csv(sim_out / "x.csv"))
+        core.save_matrix_csv(tmp_path / "noise.csv",
+                             s * s * load_matrix_csv(sim_out / "noise.csv"))
+        base = _posterior_means(sim_out / "x.csv", sim_out / "noise.csv", algorithm,
+                                tmp_path / "base")
+        scaled = _posterior_means(tmp_path / "x.csv", tmp_path / "noise.csv", algorithm,
+                                  tmp_path / "scaled")
+        assert np.max(np.abs(scaled / s - base)) <= SCALE_RTOL * np.max(np.abs(base))
+
+
 class TestPosterior:
     def test_row_count_is_n_times_r(self, sim_dir, tmp_path):
         fit_out = tmp_path / "fit"

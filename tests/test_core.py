@@ -86,6 +86,9 @@ class TestSharedNoiseWhitening:
         np.testing.assert_allclose(ds.noise_cholesky, lower, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ds.noise_whitener, whitener, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ds.whitened_x, ds.x @ whitener.T, rtol=0, atol=1e-12)
+        # The whitener is the exact triangular inverse of the factor.
+        assert np.all(np.triu(ds.noise_whitener, 1) == 0.0)
+        assert np.all(np.diag(ds.noise_whitener) == 1.0 / np.diag(ds.noise_cholesky))
 
     def test_attributes_are_cached_and_read_only(self, rng):
         ds = random_dataset(rng, 10, 3)

@@ -162,8 +162,8 @@ class TestFit:
         ll_ed = fit(train, init, FitConfig("ed", **kw)).trace.objective[-1]
         assert ll_ted >= ll_ed - 1e-6
 
-    def test_trace_monotone_across_configurations(self, rng):
-        bases = {"scaled": random_psd(rng, 3), "singular": np.ones((3, 3))}
+    def test_trace_monotone_across_configurations(self):
+        """Each case at data magnitude ``s``, with the noise, bases and start times ``s^2``."""
         cases = [
             ("ted", Penalty.none(), ("free", "free"), True),
             ("ted", Penalty.inverse_wishart(3.0), ("free", "free"), True),
@@ -178,17 +178,25 @@ class TestFit:
             ("fa", Penalty.none(), ("rank1", "scaled"), False),
             ("ed", Penalty.inverse_wishart(3.0), ("free", "singular"), False),
         ]
-        for algorithm, penalty, kinds, shared in cases:
-            ds = random_dataset(rng, 40, 3, shared=shared)
-            constraints = tuple(
-                ComponentConstraint.scaled(bases[kind]) if kind in bases
-                else ComponentConstraint(kind) for kind in kinds
-            )
-            init = random_init(3, 2, seed=17, constraints=constraints)
-            cfg = FitConfig(algorithm, penalty, max_iterations=25, tolerance=1e-13)
-            result = fit(ds, init, cfg)
-            gains = np.diff(result.trace.objective)
-            assert gains.min() >= -1e-8, (algorithm, penalty.kind, kinds, shared)
+        for s in (1e-50, 1.0, 1e50):
+            rng = np.random.default_rng(1234)
+            bases = {"scaled": s * s * random_psd(rng, 3), "singular": s * s * np.ones((3, 3))}
+            for algorithm, penalty, kinds, shared in cases:
+                ds = random_dataset(rng, 40, 3, shared=shared)
+                constraints = tuple(
+                    ComponentConstraint.scaled(bases[kind]) if kind in bases
+                    else ComponentConstraint(kind) for kind in kinds
+                )
+                init = random_init(3, 2, seed=17, constraints=constraints)
+                init = MixturePrior(init.weights, np.stack([
+                    u if c.kind == "scaled" else s * s * u
+                    for u, c in zip(init.covariances, constraints)]), init.scales, constraints)
+                cfg = FitConfig(algorithm, penalty, max_iterations=25, tolerance=1e-13)
+                objective = fit(Dataset(s * ds.x, s * s * ds.noise), init, cfg).trace.objective
+                # Fixed before the first run: at most 1e-8 at s = 1, where |objective| < 500.
+                slack = 2e-11 * np.abs(objective).max()
+                assert np.diff(objective).min() >= -slack, (s, algorithm, penalty.kind, kinds,
+                                                            shared)
 
     def test_dead_component_left_untouched(self, rng):
         ds = random_dataset(rng, 30, 2)

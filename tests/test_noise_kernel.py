@@ -15,7 +15,7 @@ from scipy.special import logsumexp, ndtr
 
 from conftest import random_dataset, random_psd
 from ebmnm import linalg, mixture, sim, solvers
-from ebmnm.core import Dataset, FitConfig, MixturePrior
+from ebmnm.core import ComponentConstraint, Dataset, FitConfig, MixturePrior
 from ebmnm.exceptions import NumericalFailureError
 from ebmnm.posterior import summarize
 from ebmnm.solvers import WeightedProblem, component_loglik, ed_update, scaled_update
@@ -293,7 +293,10 @@ def test_chunked_scaled_objective_matches_single_values():
 
 
 class TestStackFactoredOnce:
-    """A per-observation kernel factors each ``U_k + V_j`` once; nothing calls ``solve_psd``."""
+    """A per-observation kernel factors each ``U_k + V_j`` once and the noise stack once.
+
+    Nothing calls ``solve_psd``.
+    """
 
     def test_ed_fit(self, counts):
         dataset = random_dataset(np.random.default_rng(4), 60, 4, shared=False)
@@ -302,6 +305,15 @@ class TestStackFactoredOnce:
         # One kernel per evaluation: the initial state and each of 5 iterations.
         assert counts == {"cholesky_with_jitter": 3 * 6, "solve_psd": 0}
 
+    def test_fa_fit_with_scaled(self, counts):
+        dataset = random_dataset(np.random.default_rng(6), 200, 4, shared=False)
+        constraints = (ComponentConstraint.rank1(),) * 3 + (
+            ComponentConstraint.scaled(np.ones((4, 4))),)
+        init = mixture.random_init(4, 4, seed=3, constraints=constraints)
+        mixture.fit(dataset, init, FitConfig("fa", max_iterations=5))
+        # 4 stacks U_k + V_j for each of 6 evaluations, and the noise once.
+        assert counts == {"cholesky_with_jitter": 4 * 6 + 1, "solve_psd": 0}
+
     def test_summarize(self, counts):
         rng = np.random.default_rng(5)
         dataset = random_dataset(rng, 60, 4, shared=False)
@@ -309,6 +321,25 @@ class TestStackFactoredOnce:
                          np.outer([1.0, 2, 0, 1], [1.0, 2, 0, 1])])
         summarize(dataset, MixturePrior(np.full(3, 1 / 3), covs))
         assert counts == {"cholesky_with_jitter": 3, "solve_psd": 0}
+
+
+def test_whiteners_are_exact_triangular_inverses():
+    """``W = L^{-1}`` is exactly lower triangular, with diagonal exactly ``1 / l_ii``."""
+    rng = np.random.default_rng(9)
+    n, r = 2000, 5
+    a = rng.standard_normal((n, r, r))
+    noise = a @ a.swapaxes(1, 2) / r + 0.1 * np.eye(r)
+    noise[:, 0, :] *= 0.01
+    noise[:, :, 0] *= 0.01
+    lower = np.linalg.cholesky(noise)
+    (w,) = solvers.StackedComponents(Dataset(np.zeros((n, r)), noise),
+                                     np.zeros((1, r, r))).whiteners
+    assert np.all(np.triu(w, 1) == 0.0)
+    diagonal = np.diagonal(lower, axis1=1, axis2=2)
+    assert np.all(np.diagonal(w, axis1=1, axis2=2) == 1.0 / diagonal)
+    logdet = 2.0 * np.sum(np.log(diagonal), axis=1)
+    got = -2.0 * np.sum(np.log(np.diagonal(w, axis1=1, axis2=2)), axis=1)
+    assert np.all(np.abs(got - logdet) <= 2e-14 * np.abs(logdet))
 
 
 class TestNoiseFarBelowPrior:
