@@ -64,12 +64,17 @@ class Dataset:
         Noise covariance shared by all observations (2-d) or one matrix per
         observation (3-d).  Every matrix must be symmetric positive definite.
 
+    A dataset is checked when it is built, so every ``Dataset`` that exists
+    is valid.  Building one raises ``EmptyDataError`` if there are no
+    observations, ``DimensionMismatchError`` if the shapes disagree,
+    ``MalformedInputError`` if an entry is not finite, and
+    ``NotPositiveDefiniteError`` naming the first noise matrix that is not
+    symmetric positive definite.
+
     The noise is factored once, on first use (``_noise_factor``).  For a
     shared noise ``V = L L^T`` :attr:`noise_cholesky` is ``L``, and
     :attr:`noise_whitener` and :attr:`whitened_x` are views of that factor;
-    for per-observation noise all three raise ``UnsupportedNoiseError``.  A
-    dataset likewise records that it passed :func:`validate_dataset`, so
-    later calls do not repeat the checks.
+    for per-observation noise all three raise ``UnsupportedNoiseError``.
     """
 
     x: np.ndarray
@@ -78,6 +83,7 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "x", _freeze(self.x))
         object.__setattr__(self, "noise", _freeze(self.noise))
+        _check_dataset(self)
 
     @property
     def n_obs(self) -> int:
@@ -128,12 +134,6 @@ class Dataset:
         whiteners = _read_only(linalg.inv_lower(lower))
         return whiteners, _read_only(logdets), _read_only(linalg.per_row(whiteners, self.x))
 
-    @cached_property
-    def _validated(self) -> Dataset:
-        """The dataset, once :func:`_check_dataset` has passed; a failure is not kept."""
-        _check_dataset(self)
-        return self
-
 
 def _observation(dataset: Dataset, j: int) -> Dataset:
     """Observation ``j`` as a one-row dataset that reuses a shared noise's factor."""
@@ -144,27 +144,16 @@ def _observation(dataset: Dataset, j: int) -> Dataset:
 
 
 def validate_dataset(dataset: Dataset) -> Dataset:
-    """Check all :class:`Dataset` invariants, returning the dataset unchanged.
+    """Return ``dataset`` unchanged; raises nothing.
 
-    The arrays of a dataset cannot change, so the checks run on its first
-    validation only.
-
-    Raises
-    ------
-    EmptyDataError
-        If there are no observations.
-    DimensionMismatchError
-        If array shapes are inconsistent.
-    NotPositiveDefiniteError
-        If any noise matrix is not symmetric positive definite.
-    MalformedInputError
-        If any entry is not finite.
+    A :class:`Dataset` is checked when it is built, so every one that exists
+    is valid; building one raises the errors its docstring lists.
     """
-    return dataset._validated
+    return dataset
 
 
 def _check_dataset(dataset: Dataset) -> None:
-    """The checks of :func:`validate_dataset`."""
+    """The checks :class:`Dataset` runs when it is built."""
     x, noise = dataset.x, dataset.noise
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
@@ -570,7 +559,7 @@ def save_dataset(dataset: Dataset, x_path, noise_path) -> None:
 
 
 def load_dataset(x_path, noise_path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset` and validate it."""
+    """Read a dataset written by :func:`save_dataset`; building it checks it."""
     x = load_matrix_csv(x_path)
     noise = load_matrix_csv(noise_path)
     n, r = x.shape
@@ -582,4 +571,4 @@ def load_dataset(x_path, noise_path) -> Dataset:
         raise DimensionMismatchError(
             f"noise file has shape {noise.shape}; expected ({r}, {r}) or ({n * r}, {r})"
         )
-    return validate_dataset(Dataset(x, noise))
+    return Dataset(x, noise)

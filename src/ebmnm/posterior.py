@@ -37,7 +37,6 @@ from scipy.special import ndtr
 
 from . import mixture, solvers
 from .core import Dataset, MixturePrior, _observation
-from .exceptions import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -58,16 +57,11 @@ class PosteriorSummary:
     lfsr: np.ndarray   # (n, R)
 
 
-def _check_dims(dataset: Dataset, prior: MixturePrior) -> None:
-    if prior.dim != dataset.dim:
-        raise DimensionMismatchError(
-            f"prior dimension {prior.dim} does not match data dimension {dataset.dim}"
-        )
-
-
 def posterior_mixture(dataset: Dataset, prior: MixturePrior, j: int) -> PosteriorMixture:
-    """Exact posterior mixture for observation ``j``; a negative ``j`` counts from the end."""
-    _check_dims(dataset, prior)
+    """Exact posterior mixture for observation ``j``; a negative ``j`` counts from the end.
+
+    Raises ``DimensionMismatchError`` if the prior's dimension is not the data's.
+    """
     single = solvers.prepare_components(_observation(dataset, j), prior.covariances)
     weights = mixture._responsibilities_from(prior.weights, single.log_densities())[0]
     moments = [single.posterior_moments(k) for k in range(prior.n_components)]
@@ -107,9 +101,9 @@ def summarize(dataset: Dataset, prior: MixturePrior) -> PosteriorSummary:
     ``mean`` mixes the component means by responsibility; ``sd`` is the
     mixture standard deviation (negative variances from cancellation clamp
     to zero); ``lfsr`` is computed coordinate-wise from the normal-mixture
-    marginals.
+    marginals.  Raises ``DimensionMismatchError`` if the prior's dimension is
+    not the data's.
     """
-    _check_dims(dataset, prior)
     return _summary(solvers.prepare_components(dataset, prior.covariances), prior.weights)
 
 

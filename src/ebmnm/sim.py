@@ -196,9 +196,9 @@ def kl_divergence(test: Dataset, true_prior: MixturePrior,
 
     ``(1/n) sum_j log[p(x_j | true) / p(x_j | fitted)]``; identically zero
     when the fitted prior is the generating one, nonnegative in expectation.
+    Raises ``DimensionMismatchError`` if either prior's dimension is not the
+    test set's.
     """
-    if test.n_obs == 0:
-        raise EmptyDataError("test set is empty")
     ll_true = mixture.log_likelihood(test, true_prior)
     ll_fit = mixture.log_likelihood(test, fitted_prior)
     return (ll_true - ll_fit) / test.n_obs

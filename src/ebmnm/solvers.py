@@ -48,6 +48,7 @@ from scipy.optimize import minimize_scalar
 from . import linalg
 from .core import Dataset, Penalty
 from .exceptions import (
+    DimensionMismatchError,
     InvariantViolationError,
     NumericalFailureError,
     SingularMatrixError,
@@ -226,8 +227,15 @@ def prepare_components(dataset: Dataset, covariances: np.ndarray):
 
     Shared noise gets :class:`WhitenedComponents`, per-observation noise
     :class:`StackedComponents`.  Both offer ``log_densities()``,
-    ``ed_update(k, problem)`` and ``posterior_moments(k)``.
+    ``ed_update(k, problem)`` and ``posterior_moments(k)``.  Every scorer
+    and the fit come through here, so this is where a prior's dimension is
+    checked: ``DimensionMismatchError`` if the covariances are not R x R.
     """
+    covariances = np.asarray(covariances, dtype=float)
+    if covariances.shape[1:] != (dataset.dim, dataset.dim):
+        raise DimensionMismatchError(
+            f"prior dimension {covariances.shape[-1]} does not match data dimension {dataset.dim}"
+        )
     kernel = WhitenedComponents if dataset.shared_noise else StackedComponents
     return kernel(dataset, covariances)
 

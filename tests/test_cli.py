@@ -199,6 +199,16 @@ REPORT_SCHEMA = {
 
 
 class TestEvaluate:
+    def test_true_prior_dimension_mismatch_fails(self, sim_dir, tmp_path, capsys):
+        save_prior(MixturePrior(np.array([1.0]), np.eye(2)[None]), tmp_path / "small.json")
+        assert run("evaluate", "--test-x", str(sim_dir / "test_x.csv"),
+                   "--test-noise", str(sim_dir / "noise.csv"),
+                   "--theta-test", str(sim_dir / "test_theta.csv"),
+                   "--true-prior", str(tmp_path / "small.json"),
+                   "--fitted-prior", str(sim_dir / "true_prior.json"),
+                   "--out", str(tmp_path / "ev")) == 1
+        assert "error: prior dimension 2 does not match" in capsys.readouterr().err
+
     def test_oracle_prior_has_zero_kl(self, sim_dir, tmp_path):
         out = tmp_path / "ev"
         assert run("evaluate", "--test-x", str(sim_dir / "test_x.csv"),

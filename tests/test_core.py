@@ -34,14 +34,12 @@ class TestValidateDataset:
         assert validate_dataset(ds) is ds
 
     def test_rejects_negative_eigenvalue_noise(self):
-        ds = Dataset(np.zeros((2, 2)), np.diag([1.0, -0.1]))
         with pytest.raises(NotPositiveDefiniteError):
-            validate_dataset(ds)
+            validate_dataset(Dataset(np.zeros((2, 2)), np.diag([1.0, -0.1])))
 
     def test_rejects_inconsistent_dimensions(self):
-        ds = Dataset(np.zeros((2, 2)), np.eye(3))
         with pytest.raises(DimensionMismatchError):
-            validate_dataset(ds)
+            validate_dataset(Dataset(np.zeros((2, 2)), np.eye(3)))
 
     def test_rejects_empty_data(self):
         with pytest.raises(EmptyDataError):
