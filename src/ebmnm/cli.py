@@ -105,6 +105,20 @@ def _penalty_from_args(kind: str, strength: str, dim: int) -> Penalty:
     return Penalty(kind, _penalty_strength(strength, dim))
 
 
+def _at_least(minimum: int):
+    """An integer flag type that rejects values below ``minimum`` as a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
+
+
+_seed, _count = _at_least(0), _at_least(1)
+
+
 def _derived_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, key)]).generate_state(1)[0])
 
@@ -338,7 +352,7 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--n", type=int, required=True, help="training observations")
     sp.add_argument("--n-test", type=int, default=0, help="test observations (0 = none)")
     sp.add_argument("--R", type=int, required=True, help="dimension")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
     commands["simulate"] = sp
@@ -351,7 +365,7 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--penalty", choices=("none", "iw", "nn"), default="none")
     sp.add_argument("--penalty-strength", default="R",
                     help="penalty strength, a number or 'R' for the data dimension")
-    sp.add_argument("--components", type=int, default=10, help="mixture size K")
+    sp.add_argument("--components", type=_count, default=10, help="mixture size K")
     sp.add_argument("--constraint", choices=("free", "rank1"), default="free",
                     help="constraint applied to every component of the random init")
     sp.add_argument("--init-prior", default=None,
@@ -360,7 +374,7 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--tolerance", type=float, default=0.01)
     sp.add_argument("--warm-start", type=int, default=20,
                     help="initial ed iterations before the main algorithm")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     _add_common(sp)
     sp.set_defaults(func=cmd_fit)
     commands["fit"] = sp
@@ -391,14 +405,14 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--n-test", type=int, default=500)
     sp.add_argument("--R", type=int, default=5)
-    sp.add_argument("--K", type=int, default=10)
+    sp.add_argument("--K", type=_count, default=10)
     sp.add_argument("--replicates", type=int, default=3)
     sp.add_argument("--penalty-strength", default="R")
     sp.add_argument("--max-iterations", type=int, default=2000)
     sp.add_argument("--tolerance", type=float, default=0.01)
     sp.add_argument("--warm-start", type=int, default=20)
     sp.add_argument("--threshold", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--threads", type=int, default=0,
                     help="worker parallelism cap (0 = all cores); results do not depend on it")
     _add_common(sp)
@@ -431,7 +445,10 @@ def _apply_config_defaults(subparser: _Parser, values: dict) -> None:
     for action in subparser._actions:
         if action.dest in values:
             raw = values[action.dest]
-            coerced[action.dest] = action.type(raw) if action.type else raw
+            try:
+                coerced[action.dest] = action.type(raw) if action.type else raw
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise _UsageError(f"config value {raw!r} for {action.dest}: {exc}") from None
             if action.choices and coerced[action.dest] not in action.choices:
                 raise _UsageError(
                     f"config value {raw!r} for {action.dest} not in {sorted(action.choices)}"

@@ -6,7 +6,8 @@ code: eigenvalues above ``-PSD_RTOL`` times the spectral radius count as
 nonnegative, and Cholesky factorizations get one jitter retry before failing.
 
 The stacked helpers take an ``(m, R, R)`` stack: a dataset's noise (m = 1
-shared, m = n per observation) or the per-observation ``U_k + V_j``.
+shared, m = n per observation), the per-observation ``U_k + V_j`` or their
+whiteners.
 """
 
 from dataclasses import dataclass
@@ -145,13 +146,13 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _t(inverse) @ (inverse @ b)
 
 
-def mvn_logpdf_zero_mean(x: np.ndarray, whitener: np.ndarray) -> np.ndarray:
+def mvn_logpdf_zero_mean(x: np.ndarray, whitener: np.ndarray, logdet: np.ndarray) -> np.ndarray:
     """Log density of ``N(0, cov_j)`` at each row ``x_j`` of ``x``.
 
-    ``x`` is ``(n, R)`` and ``whitener`` the ``(n, R, R)`` stack of inverse
-    Cholesky factors ``W_j = L_j^{-1}``, ``cov_j = L_j L_j^T``, so that
-    ``log det cov_j = -2 sum log diag W_j``.  Returns shape ``(n,)``.
+    ``x`` is ``(n, R)``, ``whitener`` an ``(m, R, R)`` stack with
+    ``cov_j^{-1} = W_j^T W_j`` and ``logdet`` the ``(m,)`` values
+    ``log det cov_j``, m = 1 (one covariance for every row) or n.
+    Returns shape ``(n,)``.
     """
-    logdet = -2.0 * np.sum(np.log(np.diagonal(whitener, axis1=1, axis2=2)), axis=1)
-    z = (whitener @ x[:, :, None])[:, :, 0]
-    return -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=1))
+    z = per_row(whitener, x)
+    return -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + logdet + np.einsum("ij,ij->i", z, z))

@@ -8,11 +8,13 @@ recorded after every iteration and never decreases, up to a small numerical
 slack, for every supported configuration.
 
 Each iteration prepares the covariances against the noise once
-(:func:`ebmnm.solvers.prepare_components`).  For shared noise that is one
-stacked eigendecomposition of the K whitened covariances, which gives the
-log-densities, the next ``ed`` steps, and for ``ted`` the penalty and the
-scale updates, whose metric is the noise-whitened one.  ``ed`` with "iw"
-measures its penalty in the data metric through one stacked ``eigvalsh``.
+(:func:`ebmnm.solvers.prepare_components`): K stacks of whiteners of
+``U_k + V_j``, one per shared noise or one per observation, which give the
+log-densities and the next ``ed`` steps for either kind of noise.  With
+shared noise they come from one stacked eigendecomposition of the K
+whitened covariances, whose spectra also give ``ted`` its penalty and scale
+updates in the noise-whitened metric.  ``ed`` with "iw" measures its penalty
+in the data metric through one stacked ``eigvalsh``.
 One log-sum-exp gives both the objective and the next responsibilities, and
 each weighted problem forms its whitened Gram once for whichever update reads it.
 A ``scaled`` update keeps the current multiple unless it finds a better one.
@@ -36,6 +38,7 @@ from .core import (
     Penalty,
     validate_dataset,  # unused here; the benchmark trace patches mixture.validate_dataset
 )
+from .exceptions import InvalidConfigError
 
 # Components whose total responsibility falls below this are left untouched.
 DEAD_COMPONENT_WEIGHT = 1e-12
@@ -102,13 +105,18 @@ def random_init(dim: int, n_components: int, seed,
 
     Free components draw ``U = A A^T + 0.1 I`` with standard normal ``A``;
     rank-1 components draw a standard normal vector; scaled components start
-    at their base matrix.  Deterministic given the seed.
+    at their base matrix.  Deterministic given the seed.  Raises
+    ``InvalidConfigError`` for fewer than one component or a constraint
+    count other than ``n_components``.
     """
-    rng = np.random.default_rng(seed)
+    if n_components < 1:
+        raise InvalidConfigError(f"need at least one component, got {n_components}")
     if constraints is None:
         constraints = tuple(ComponentConstraint.free() for _ in range(n_components))
     if len(constraints) != n_components:
-        raise ValueError("need one constraint per component")
+        raise InvalidConfigError(
+            f"need one constraint per component, got {len(constraints)} for {n_components}")
+    rng = np.random.default_rng(seed)
     covs = np.empty((n_components, dim, dim))
     for k, constraint in enumerate(constraints):
         if constraint.kind == "free":

@@ -9,15 +9,16 @@ coordinate is >= 0 or <= 0.
 
 The covariances are prepared against the noise once
 (:func:`ebmnm.solvers.prepare_components`), and the same set gives the
-responsibilities and the moments.  Both kinds of noise use one formula: the
-means are ``U_k (U_k + V_j)^{-1} x_j`` and the covariance is
-``U_k (U_k + V_j)^{-1} V_j``, equal to the one above.  For a shared noise the
-inverse comes from the whitened eigenbasis of ``U_k`` and every observation
-shares the covariance, so nothing is factored beyond the noise;
-per-observation noise factors the stack ``U_k + V_j``.  Both products keep
-the rows of ``U_k``, so a coordinate where ``U_k`` has a zero row gets an
-exactly zero mean and variance under either kernel.  Rounding can leave a
-variance slightly below zero; the summaries clamp it at zero.
+responsibilities and the moments.  Both kinds of noise use one formula:
+with the whiteners ``(U_k + V_j)^{-1} = W_kj^T W_kj``, the gain
+``P_kj = U_k W_kj^T W_kj`` gives the means ``P_kj x_j`` and the covariance
+``sym(P_kj V_j)``, equal to the one above.  A shared noise has one whitener
+per component, from the whitened eigenbasis of ``U_k``, so every
+observation shares the covariance and nothing is factored beyond the noise;
+per-observation noise factors the stack ``U_k + V_j``.  The gain keeps the
+rows of ``U_k``, so a coordinate where ``U_k`` has a zero row gets an
+exactly zero mean and variance for either kind of noise.  Rounding can
+leave a variance slightly below zero; the summaries clamp it at zero.
 ``posterior_mixture`` is the same computation on a one-row slice, which
 reuses the parent dataset's Cholesky factor of a shared noise.
 

@@ -25,7 +25,7 @@ import scipy.linalg
 
 from . import linalg, mixture
 from .core import ComponentConstraint, Dataset, MixturePrior
-from .exceptions import EmptyDataError, InvalidScenarioError
+from .exceptions import DimensionMismatchError, InvalidScenarioError
 from .posterior import PosteriorSummary
 
 SCENARIOS = ("hybrid", "rank1")
@@ -51,6 +51,8 @@ class Scenario:
             raise InvalidScenarioError("n_test must be nonnegative")
         if self.dim < 1:
             raise InvalidScenarioError("dimension must be at least 1")
+        if self.seed < 0:
+            raise InvalidScenarioError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "rank1" and self.dim < 5:
             raise InvalidScenarioError(
                 "the rank1 scenario requires dimension R >= 5 (it uses the first "
@@ -210,7 +212,7 @@ def _sign_errors(summary: PosteriorSummary, theta_true: np.ndarray) -> np.ndarra
     Exactly-zero true effects count as errors wherever called significant.
     """
     if theta_true.shape != summary.mean.shape:
-        raise EmptyDataError(
+        raise DimensionMismatchError(
             f"ground truth shape {theta_true.shape} does not match summary "
             f"shape {summary.mean.shape}"
         )
@@ -222,13 +224,14 @@ def empirical_fsr(summary: PosteriorSummary, theta_true: np.ndarray,
     """Observed false sign rate among tests with lfsr below the threshold.
 
     Returns ``(fsr, significant_count)``; ``(0.0, 0)`` when nothing is
-    significant.
+    significant.  Raises ``DimensionMismatchError`` if ``theta_true`` is not
+    the summary's shape.
     """
+    wrong = _sign_errors(summary, theta_true)
     significant = summary.lfsr < threshold
     count = int(significant.sum())
     if count == 0:
         return 0.0, 0
-    wrong = _sign_errors(summary, theta_true)
     return float(wrong[significant].mean()), count
 
 

@@ -301,6 +301,36 @@ class TestUsage:
     def test_missing_required_flags(self):
         assert run("fit") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("simulate", "--seed", "-1"),
+        ("fit", "--seed", "-1"),
+        ("fit", "--components", "0"),
+        ("fit", "--components", "-1"),
+        ("bench", "--seed", "-1"),
+        ("bench", "--K", "0"),
+        ("bench", "--K", "-2"),
+    ])
+    def test_negative_seed_and_empty_mixture_are_usage_errors(self, sim_dir, tmp_path,
+                                                              capsys, flags):
+        command, *flag = flags
+        inputs = {
+            "simulate": ("--scenario", "hybrid", "--n", "10", "--R", "3"),
+            "fit": ("--x", str(sim_dir / "x.csv"), "--noise", str(sim_dir / "noise.csv"),
+                    "--max-iterations", "2"),
+            "bench": ("--scenarios", "hybrid", "--algorithms", "ed", "--penalties", "none",
+                      "--n", "20", "--n-test", "10", "--R", "3", "--replicates", "1",
+                      "--max-iterations", "2", "--threads", "1"),
+        }[command]
+        assert run(command, *inputs, *flag, "--out", str(tmp_path / "bad")) == 1
+        assert f"error: argument {flag[0]}: must be at least" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = -3\n")
+        assert run("simulate", "--config", str(cfg), "--scenario", "hybrid", "--n", "10",
+                   "--R", "3", "--out", str(tmp_path / "x")) == 1
+        assert "error: config value '-3' for seed" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
 

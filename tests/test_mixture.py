@@ -121,6 +121,15 @@ class TestRandomInit:
             for u in prior.covariances:
                 assert np.linalg.eigvalsh(u).min() >= 0.1 - 1e-12
 
+    @pytest.mark.parametrize("n_components", [0, -1])
+    def test_no_components_rejected(self, n_components):
+        with pytest.raises(InvalidConfigError, match="at least one component"):
+            random_init(3, n_components, seed=0)
+
+    def test_constraint_count_mismatch_rejected(self):
+        with pytest.raises(InvalidConfigError, match="one constraint per component"):
+            random_init(3, 2, seed=0, constraints=(ComponentConstraint.free(),))
+
     def test_constraint_kinds_respected(self, rng):
         base = random_psd(rng, 3)
         constraints = (ComponentConstraint.free(), ComponentConstraint.rank1(),

@@ -1,4 +1,4 @@
-"""Both noise kernels against naive per-row references.
+"""The components kernel, under both kinds of noise, against naive per-row references.
 
 Log-densities, the ``ed`` moment, the ``scaled`` objective and posterior
 summaries run as one stacked computation over the ``(n, R, R)``
@@ -332,8 +332,8 @@ def test_whiteners_are_exact_triangular_inverses():
     noise[:, 0, :] *= 0.01
     noise[:, :, 0] *= 0.01
     lower = np.linalg.cholesky(noise)
-    (w,) = solvers.StackedComponents(Dataset(np.zeros((n, r)), noise),
-                                     np.zeros((1, r, r))).whiteners
+    (w,) = solvers.prepare_components(Dataset(np.zeros((n, r)), noise),
+                                      np.zeros((1, r, r))).whiteners
     assert np.all(np.triu(w, 1) == 0.0)
     diagonal = np.diagonal(lower, axis1=1, axis2=2)
     assert np.all(np.diagonal(w, axis1=1, axis2=2) == 1.0 / diagonal)

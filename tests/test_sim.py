@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from ebmnm import mixture
 from ebmnm.core import Dataset, MixturePrior
-from ebmnm.exceptions import EmptyDataError, InvalidScenarioError
+from ebmnm.exceptions import DimensionMismatchError, EmptyDataError, InvalidScenarioError
 from ebmnm.posterior import PosteriorSummary, summarize
 from ebmnm.sim import (
     GroundTruth,
@@ -29,6 +29,10 @@ class TestScenario:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidScenarioError):
             Scenario("mystery", n=10, dim=5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidScenarioError, match="seed must be nonnegative"):
+            Scenario("hybrid", n=10, dim=3, seed=-1)
 
 
 class TestGenerate:
@@ -166,6 +170,16 @@ class TestEmpiricalFsr:
         summary = synthetic_summary(theta, lfsr_sig=0.4)
         fsr, count = empirical_fsr(summary, theta, threshold=1e-9)
         assert (fsr, count) == (0.0, 0)
+
+    @pytest.mark.parametrize("threshold", [1e-9, 0.05])
+    def test_truth_shape_mismatch_rejected(self, rng, threshold):
+        theta = rng.standard_normal((4, 3))
+        summary = synthetic_summary(theta, lfsr_sig=0.01)
+        for wrong in (theta[:3], theta[:, :2]):
+            with pytest.raises(DimensionMismatchError, match="ground truth shape"):
+                empirical_fsr(summary, wrong, threshold=threshold)
+            with pytest.raises(DimensionMismatchError, match="ground truth shape"):
+                power_fsr_curve(summary, wrong, thresholds=np.array([threshold]))
 
     def test_all_correct_signs(self, rng):
         theta = rng.standard_normal((4, 3))

@@ -1,11 +1,13 @@
-"""The shared-noise whitened eigenbasis against the stacked kernel.
+"""The shared-noise branch of the components kernel against the per-observation one.
 
-For a shared noise ``V``, log-densities, the ``ed`` step and posterior
-summaries run as diagonal formulas in the eigenbasis of each whitened
-covariance (``solvers.WhitenedComponents``).  Each is pinned here to the
-per-observation kernel (``solvers.StackedComponents``) applied to a copy of
-the dataset whose noise repeats ``V`` once per observation, which factors
-``U_k + V`` instead.
+``solvers.Components`` treats both kinds of noise with one formula and
+differs in two places: a shared noise ``V`` builds its whiteners from the
+eigenbasis of each whitened covariance and gives the ``ed`` step its data
+through the whitened Gram, while per-observation noise factors each
+``U_k + V_j`` and forms the posterior means.  Log-densities, the ``ed`` step
+and posterior summaries of the shared branch are pinned here to
+``solvers.prepare_components`` applied to a copy of the dataset whose noise
+repeats ``V`` once per observation, and at n = 1 to a stack of one matrix.
 
 The updates that read a problem's whitened Gram (``ted``, rank-1 ``ted``,
 ``ed`` and the ``scaled`` objective) are pinned to references that loop over
@@ -60,7 +62,7 @@ def cases(draw):
 def _stacked(dataset, covs):
     """The per-observation kernel on ``dataset`` with its noise repeated per row."""
     repeated = Dataset(dataset.x, np.repeat(dataset.noise[None], dataset.n_obs, 0))
-    return solvers.StackedComponents(repeated, covs)
+    return solvers.prepare_components(repeated, covs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -106,6 +108,33 @@ def test_summarize_matches_stacked_kernel(case):
     assert np.all(np.abs(got.mean - expected.mean) <= TOL * (x_scale + np.sqrt(second)))
     assert np.all(np.abs(got.sd**2 - expected.sd**2) <= TOL * second)
     assert np.all(np.abs(got.lfsr - expected.lfsr) <= TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.sampled_from([Penalty.none(), Penalty.inverse_wishart(0.7)]))
+def test_one_row_per_observation_noise_matches_shared(case, penalty):
+    """n = 1: a stack of one noise matrix and the shared noise build the same kernel."""
+    dataset, covs, _, w = case
+    x, noise = dataset.x[:1], dataset.noise
+    shared = solvers.prepare_components(Dataset(x, noise), covs)
+    stacked = solvers.prepare_components(Dataset(x, noise[None]), covs)
+    r = dataset.dim
+    expected = stacked.log_densities()
+    logdet = np.linalg.slogdet(covs + noise)[1]
+    quad = -2.0 * expected - r * np.log(2.0 * np.pi) - logdet
+    got = shared.log_densities()
+    assert np.all(np.abs(got - expected) <= TOL * (r + np.abs(logdet) + np.abs(quad)))
+    weight = max(w[0], 0.5)  # the weight must not vanish
+    problem = solvers.WeightedProblem(Dataset(x, noise), np.array([weight]), 1.0, penalty)
+    for k, u in enumerate(covs):
+        (means, cov), (ref_means, ref_cov) = (shared.posterior_moments(k),
+                                              stacked.posterior_moments(k))
+        second = np.diagonal(ref_cov[0]) + ref_means[0] ** 2
+        assert np.all(np.abs(means - ref_means) <= TOL * (np.abs(x).max() + np.sqrt(second)))
+        assert np.all(np.abs(cov - ref_cov) <= TOL * np.abs(noise).max())
+        expected = stacked.ed_update(k, problem)
+        size = np.abs(expected).max() + np.abs(u).max() + penalty.lam
+        assert np.all(np.abs(shared.ed_update(k, problem) - expected) <= TOL * size)
 
 
 def test_zero_component_gives_exact_zeros(rng):
