@@ -119,6 +119,17 @@ def _at_least(minimum: int):
 _seed, _count = _at_least(0), _at_least(1)
 
 
+def _threshold(text: str) -> float:
+    """An lfsr cut in [0, 1], else a usage error; 0 selects nothing (lfsr < 0 never holds)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+_threshold.__name__ = "float"  # argparse names the type in "invalid float value" errors
+
+
 def _derived_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, key)]).generate_state(1)[0])
 
@@ -281,7 +292,6 @@ def _bench_configs(args, algorithms: list[str], penalties: list[str]) -> list[Fi
 
 def cmd_bench(args) -> int:
     started = _now()
-    out = _out_dir(args)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     penalties = [p.strip() for p in args.penalties.split(",") if p.strip()]
@@ -299,6 +309,10 @@ def cmd_bench(args) -> int:
                     "data_seed": _derived_seed(args.seed, si, rep),
                     "init_seed": _derived_seed(args.seed, si, rep, 1),
                 })
+    if not tasks:
+        raise _UsageError("the bench grid has no cells: name at least one scenario and one "
+                          "algorithm with a penalty it accepts")
+    out = _out_dir(args)
     threads = args.threads or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
@@ -393,7 +407,7 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--theta-test", required=True, help="true test means CSV")
     sp.add_argument("--true-prior", required=True)
     sp.add_argument("--fitted-prior", required=True)
-    sp.add_argument("--threshold", type=float, default=0.05, help="lfsr significance cut")
+    sp.add_argument("--threshold", type=_threshold, default=0.05, help="lfsr significance cut")
     _add_common(sp)
     sp.set_defaults(func=cmd_evaluate)
     commands["evaluate"] = sp
@@ -406,14 +420,14 @@ def build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--n-test", type=int, default=500)
     sp.add_argument("--R", type=int, default=5)
     sp.add_argument("--K", type=_count, default=10)
-    sp.add_argument("--replicates", type=int, default=3)
+    sp.add_argument("--replicates", type=_count, default=3)
     sp.add_argument("--penalty-strength", default="R")
     sp.add_argument("--max-iterations", type=int, default=2000)
     sp.add_argument("--tolerance", type=float, default=0.01)
     sp.add_argument("--warm-start", type=int, default=20)
-    sp.add_argument("--threshold", type=float, default=0.05)
+    sp.add_argument("--threshold", type=_threshold, default=0.05)
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--threads", type=int, default=0,
+    sp.add_argument("--threads", type=_seed, default=0,
                     help="worker parallelism cap (0 = all cores); results do not depend on it")
     _add_common(sp)
     sp.set_defaults(func=cmd_bench)

@@ -49,24 +49,25 @@ def is_symmetric(a: np.ndarray):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition with eigenvalues sorted in descending order."""
+    """Eigendecomposition of a matrix or a stack, eigenvalues in descending order."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     def compose(self, values: np.ndarray) -> np.ndarray:
-        """Rebuild ``Q diag(values) Q^T``."""
-        return sym((self.vectors * values) @ self.vectors.T)
+        """Rebuild ``Q diag(values) Q^T`` (of each matrix of a stack)."""
+        return sym((self.vectors * values[..., None, :]) @ _t(self.vectors))
 
 
 def eigh_descending(a: np.ndarray) -> EigenSystem:
-    """Symmetric eigendecomposition, eigenvalues descending."""
+    """Symmetric eigendecomposition of a matrix or a stack, eigenvalues descending."""
     try:
         values, vectors = np.linalg.eigh(sym(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(values)[::-1]
-    return EigenSystem(values=values[order], vectors=vectors[:, order])
+    order = np.argsort(values, axis=-1)[..., ::-1]
+    return EigenSystem(values=np.take_along_axis(values, order, axis=-1),
+                       vectors=np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:

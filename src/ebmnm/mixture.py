@@ -15,8 +15,13 @@ shared noise they come from one stacked eigendecomposition of the K
 whitened covariances, whose spectra also give ``ted`` its penalty and scale
 updates in the noise-whitened metric.  ``ed`` with "iw" measures its penalty
 in the data metric through one stacked ``eigvalsh``.
-One log-sum-exp gives both the objective and the next responsibilities, and
-each weighted problem forms its whitened Gram once for whichever update reads it.
+One log-sum-exp gives both the objective and the next responsibilities.
+With shared noise every live ``ted``, rank-1 ``ted`` and ``ed`` component
+shares one weighted problem, one column of responsibilities each, and is
+updated in one stacked solve (:func:`ebmnm.solvers.truncated_solution`, the
+kernel's ``ed_update``); the penalty values and scale updates read the
+``(K, R)`` spectra in one call each.  ``scaled`` and ``fa`` components, and
+every component under per-observation noise, get one problem each.
 A ``scaled`` update keeps the current multiple unless it finds a better one.
 """
 
@@ -169,29 +174,54 @@ def _penalty_total(state: _State, penalty: Penalty, spectra: np.ndarray | None) 
     """Sum of ``rho(U_k / s_k)`` over penalized (free) components."""
     if not penalty.active:
         return 0.0
-    return sum(solvers.penalty_from_eigenvalues(penalty, e, scale)
-               for e, scale, constraint in zip(spectra, state.scales, state.constraints)
-               if constraint.kind == "free")
+    free = [c.kind == "free" for c in state.constraints]
+    return sum(solvers.penalty_from_eigenvalues(penalty, spectra, state.scales)[free].tolist())
+
+
+def _batched(state: _State, k: int, rank1_algorithm: str) -> bool:
+    """Whether component ``k`` takes ``ted``, rank-1 ``ted`` or ``ed``.
+
+    That is every free component, and every rank-1 one that ``fa`` does not fit.
+    """
+    kind = state.constraints[k].kind
+    return kind == "free" or (kind == "rank1" and rank1_algorithm != "fa")
 
 
 def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
-                      free_algorithm: str, rank1_algorithm: str, components) -> None:
-    """Replace covariance ``k``; ``components`` holds the current covariances."""
+                      components) -> None:
+    """Replace covariance ``k`` of a ``scaled``, ``fa`` or per-observation ``ed`` component.
+
+    ``components`` holds the current covariances.  ``FitConfig.validate_for``
+    leaves no other kind of update outside :func:`_update_shared`.
+    """
     constraint = state.constraints[k]
     if constraint.kind == "scaled":
         base = constraint.base
         current = float(np.sum(state.covariances[k] * base)) / float(np.sum(base * base))
         state.covariances[k] = solvers.scaled_update(problem, base, current) * base
     elif constraint.kind == "rank1":
-        if rank1_algorithm == "fa":
-            u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
-            state.covariances[k] = np.outer(u, u)
-        else:
-            state.covariances[k] = solvers.ted_rank1_update(problem)
-    elif free_algorithm == "ted":
-        state.covariances[k] = solvers.ted_update(problem)
+        u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
+        state.covariances[k] = np.outer(u, u)
     else:
         state.covariances[k] = components.ed_update(k, problem)
+
+
+def _update_shared(state: _State, ks: np.ndarray, problem: solvers.WeightedProblem,
+                   free_algorithm: str, components) -> None:
+    """Replace the covariances ``ks`` from one problem with a weight column each.
+
+    Rank-1 components and, under ``ted``, free ones take one stacked
+    truncation; free ones under ``ed`` take one stacked ``ed`` step.
+    """
+    rank1 = np.array([state.constraints[k].kind == "rank1" for k in ks])
+    ed = ~rank1 & (free_algorithm != "ted")
+    new = np.empty((len(ks),) + state.covariances[0].shape)
+    if not ed.all():
+        new[~ed] = solvers.truncated_solution(problem, rank1[~ed], ~ed)
+    if ed.any():
+        new[ed] = components.ed_update(ks[ed], problem, ed)
+    for k, u in zip(ks, new):
+        state.covariances[k] = u
 
 
 def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algorithm: str,
@@ -228,22 +258,28 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         # their covariance and scale untouched.
         live = np.flatnonzero((state.weights >= DEAD_COMPONENT_WEIGHT)
                               & (resp.sum(axis=0) >= DEAD_COMPONENT_WEIGHT))
-        rescaled = []
-        for k in live:
+        # With shared noise the ted, rank-1 ted and ed updates share one problem.
+        batched = np.array([dataset.shared_noise and _batched(state, k, rank1_algorithm)
+                            for k in live], dtype=bool)
+        if batched.any():
+            ks = live[batched]
+            _update_shared(state, ks, solvers.WeightedProblem(
+                dataset, resp[:, ks], state.scales[ks], penalty), free_algorithm, components)
+        for k in live[~batched]:
             free = state.constraints[k].kind == "free"
             problem = solvers.WeightedProblem(dataset, resp[:, k], state.scales[k],
                                               penalty if free else Penalty.none())
-            _update_component(state, k, problem, free_algorithm, rank1_algorithm, components)
-            if free and penalty.active:
-                rescaled.append(k)
+            _update_component(state, k, problem, components)
+        rescaled = ([k for k in live if state.constraints[k].kind == "free"]
+                    if penalty.active else [])
         iteration += 1
         state.evaluation = components = None  # hold one kernel's factors at a time
         components, log_dens = evaluate()
         logw, log_totals = _log_weighted(state.weights, log_dens)
         spectra = _penalty_spectra(components, penalty, whitened_penalty)
-        for k in rescaled:
-            state.scales[k] = solvers.scale_factor_from_eigenvalues(
-                solvers.floor_eigenvalues(spectra[k]), penalty)
+        if rescaled:
+            state.scales[rescaled] = solvers.scale_factor_from_eigenvalues(
+                solvers.floor_eigenvalues(spectra[rescaled]), penalty)
         if trace is not None:
             current = objective(log_totals, spectra)
             trace.append((iteration, current, time.perf_counter() - t0))

@@ -1,4 +1,4 @@
-"""Single-component covariance updates.
+"""Component covariance updates, one component or a stack of them at a time.
 
 Each function solves (or improves) the weighted problem
 
@@ -16,7 +16,11 @@ single EM steps: they never decrease the objective but do not maximize it.
 With a shared noise ``V = L L^T`` the data enter ``ted`` and ``ed`` only
 through :attr:`WeightedProblem.whitened_gram`, ``S = sum_j w_j z_j z_j^T``
 with ``z_j = L^{-1} x_j``: ``ted`` reads the spectrum of ``S / W`` and
-``ed`` reads ``S``.  The ``scaled`` objective and the ``fa`` step depend on
+``ed`` reads ``S``.  A :class:`WeightedProblem` with ``(n, K')`` weights
+holds K' such problems, and ``ted``, rank-1 ``ted`` and ``ed`` solve them
+at once: one stacked ``eigh`` of the ``S_k / W_k``, one
+:func:`solve_penalized_spectrum` over the ``(K', R)`` spectra and one
+stacked ``ed`` step.  The ``scaled`` objective and the ``fa`` step depend on
 the noise alone, so each is one function that reads the dataset's noise
 factor: a stack of m = 1 (shared) or m = n (per-observation) inverse
 Cholesky factors ``W_j`` with the whitened rows ``z_j = W_j x_j``.
@@ -31,8 +35,9 @@ and the posterior moments and the ``ed`` step through the gains
 ``sym(P_kj V_j)``.  The kind of noise matters at two places only, each for
 speed: building the whiteners (one stacked ``eigh`` of the whitened ``U_k``
 for a shared noise, an inverse Cholesky factor of each ``U_k + V_j``
-otherwise) and the data part of the ``ed`` step (the whitened Gram for a
-shared noise, the ``(n, R)`` means otherwise).
+otherwise) and the data part of the ``ed`` step (the whitened Grams of
+every column at once for a shared noise, the ``(n, R)`` means of one
+component at a time otherwise).
 
 The gain keeps the rows of ``U_k``, so a coordinate where ``U_k`` has a
 zero row gets an exactly zero mean and variance, and the lfsr convention
@@ -65,10 +70,14 @@ SPECTRUM_FLOOR_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class WeightedProblem:
-    """One component's weighted estimation problem.
+    """The weighted estimation problem of one component, or of K' at once.
 
-    ``weights`` are per-observation responsibilities in [0, 1] with positive
-    sum; ``scale`` is the component's current penalty scale factor.
+    ``weights`` are per-observation responsibilities in [0, 1]: ``(n,)`` for
+    one component or ``(n, K')`` with one column per component, each with
+    positive sum.  ``scale`` is the current penalty scale factor: one number,
+    or ``(K',)`` for 2-d weights.  With 2-d weights :attr:`total_weight` and
+    :attr:`whitened_gram` gain the leading component axis, as do the results
+    of the ``ted`` and ``ed`` updates that read them.
     """
 
     dataset: Dataset
@@ -78,30 +87,52 @@ class WeightedProblem:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] != self.dataset.n_obs:
+        if w.ndim not in (1, 2) or w.shape[0] != self.dataset.n_obs or w.size == 0:
             raise InvariantViolationError(
                 f"weights must have one entry per observation, got shape {w.shape}"
             )
         if np.any(w < 0) or np.any(w > 1 + 1e-12):
             raise InvariantViolationError("weights must lie in [0, 1]")
-        if not (w.sum() > 0):
+        if not np.all(w.sum(axis=0) > 0):
             raise InvariantViolationError("weights must not all be zero")
-        if not (self.scale > 0):
+        if w.ndim == 2 and np.shape(self.scale) not in ((), w.shape[1:]):
+            raise InvariantViolationError(
+                f"scale must be one number or one per column, got shape {np.shape(self.scale)}")
+        if not np.all(np.asarray(self.scale) > 0):
             raise InvariantViolationError("scale must be positive")
         object.__setattr__(self, "weights", w)
 
     @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
+    def total_weight(self) -> float | np.ndarray:
+        """``W``, the weights' sum: a float, or ``(K',)`` for 2-d weights."""
+        if self.weights.ndim == 1:
+            return float(self.weights.sum())
+        return self.weights.sum(axis=0)
 
     @cached_property
+    def _grams(self) -> np.ndarray:
+        """:attr:`whitened_gram` with a leading axis, ``(K', R, R)``; one GEMM per column."""
+        xt = self.dataset.whitened_x
+        return np.stack([(xt * w[:, None]).T @ xt
+                         for w in self.weights.reshape(self.dataset.n_obs, -1).T])
+
+    @property
     def whitened_gram(self) -> np.ndarray:
         """``S = sum_j w_j z_j z_j^T`` of the whitened rows ``z_j = L^{-1} x_j``.
 
-        Shared noise only: per-observation noise raises ``UnsupportedNoiseError``.
+        ``(R, R)``, or ``(K', R, R)`` for 2-d weights.  Shared noise only:
+        per-observation noise raises ``UnsupportedNoiseError``.
         """
-        xt = self.dataset.whitened_x
-        return (xt * self.weights[:, None]).T @ xt
+        return self._grams if self.weights.ndim == 2 else self._grams[0]
+
+    def _columns(self, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """``W`` and the scales of the columns ``cols``, each ``(K',)``.
+
+        1-d weights are one column.
+        """
+        totals = np.atleast_1d(self.total_weight)
+        scales = np.broadcast_to(np.asarray(self.scale, dtype=float), totals.shape)
+        return totals[cols], scales[cols]
 
 
 class Components:
@@ -146,10 +177,13 @@ class Components:
         return np.column_stack([linalg.mvn_logpdf_zero_mean(x, w, d)
                                 for w, d in zip(self.whiteners, self.logdets)])
 
-    def _gains(self, k: int) -> np.ndarray:
-        """``P_kj = U_k (U_k + V_j)^{-1} = U_k W_kj^T W_kj``, ``(m, R, R)``."""
+    def _gains(self, k) -> np.ndarray:
+        """``P_kj = U_k (U_k + V_j)^{-1} = U_k W_kj^T W_kj``, ``(m, R, R)``.
+
+        With shared noise ``k`` may be ``(K',)`` component indices, giving ``(K', 1, R, R)``.
+        """
         w = self.whiteners[k]
-        return (w.swapaxes(1, 2) @ (w @ self.covariances[k])).swapaxes(1, 2)
+        return (w.swapaxes(-1, -2) @ (w @ self.covariances[k][..., None, :, :])).swapaxes(-1, -2)
 
     def posterior_moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``P_kj x_j`` ``(n, R)`` and covariances ``sym(P_kj V_j)`` ``(m, R, R)``.
@@ -159,32 +193,39 @@ class Components:
         p = self._gains(k)
         return linalg.per_row(p, self.dataset.x), linalg.sym(p @ self.dataset.noise)
 
-    def ed_update(self, k: int, problem: WeightedProblem) -> np.ndarray:
+    def ed_update(self, k, problem: WeightedProblem, cols=slice(None)) -> np.ndarray:
         """The :func:`ed_update` average of ``C_j + m_j m_j^T`` of the posterior moments.
 
+        ``k`` is one component for 1-d weights, or ``(K',)`` components for
+        the columns ``cols`` of 2-d weights, with a ``(K', R, R)`` result.
         With shared noise ``sum_j w_j m_j m_j^T = (P L) S (P L)^T`` from the
         problem's :attr:`~WeightedProblem.whitened_gram` ``S``, which skips the
         ``(n, R)`` means (0.9 against 2.0-2.4 ms per component at n=5000,
-        R=50 on a 2-core VM).
+        R=50 on a 2-core VM), and every column is one stacked expression.
+        Per-observation noise holds one ``(n, R, R)`` gain stack at a time.
         """
-        w, total = problem.weights, problem.total_weight
-        p = self._gains(k)
-        if self.dataset.shared_noise:
-            pl = p[0] @ self.dataset.noise_cholesky
-            second = pl @ problem.whitened_gram @ pl.T
+        dataset, ks = self.dataset, np.atleast_1d(k)
+        totals, scales = problem._columns(cols)
+        if dataset.shared_noise:
+            p = self._gains(ks)[:, 0]
+            pl = p @ dataset.noise_cholesky
+            moment = (totals[:, None, None] * linalg.sym(p @ dataset.noise)
+                      + pl @ problem._grams[cols] @ pl.swapaxes(1, 2))
         else:
-            means = linalg.per_row(p, self.dataset.x)
-            second = (means * w[:, None]).T @ means
-        # Each covariance carries the weights of the rows that share it.
-        covs = linalg.sym(p @ self.dataset.noise).reshape(len(p), -1)
-        spread = w.reshape(len(p), -1).sum(axis=1)
-        moment = (spread @ covs).reshape(second.shape) + second
+            moment = np.empty((len(ks), dataset.dim, dataset.dim))
+            for i, (kk, w) in enumerate(zip(ks, problem.weights.reshape(dataset.n_obs, -1)
+                                             [:, cols].T)):
+                p = self._gains(kk)
+                means = linalg.per_row(p, dataset.x)
+                # Each covariance carries the weight of its row.
+                covs = linalg.sym(p @ dataset.noise).reshape(len(p), -1)
+                moment[i] = (w @ covs).reshape(moment.shape[1:]) + (means * w[:, None]).T @ means
         if problem.penalty.active:
             lam = problem.penalty.lam
-            new = (moment + lam * problem.scale * np.eye(self.dataset.dim)) / (total + lam)
-        else:
-            new = moment / total
-        return linalg.sym(new)
+            moment = moment + lam * scales[:, None, None] * np.eye(dataset.dim)
+            totals = totals + lam
+        new = linalg.sym(moment / totals[:, None, None])
+        return new if np.ndim(k) else new[0]
 
 
 def prepare_components(dataset: Dataset, covariances: np.ndarray) -> Components:
@@ -212,20 +253,24 @@ def weighted_loglik(problem: WeightedProblem, cov: np.ndarray) -> float:
     return float(problem.weights @ component_loglik(problem.dataset, cov))
 
 
-def penalty_from_eigenvalues(penalty: Penalty, eigenvalues: np.ndarray, scale: float) -> float:
+def penalty_from_eigenvalues(penalty: Penalty, eigenvalues: np.ndarray, scale):
     """Penalty value ``rho(U / scale)`` from the eigenvalues of ``U``.
 
     Returns ``+inf`` when any eigenvalue is nonpositive and the penalty is
-    active (both penalties diverge at singular matrices).
+    active (both penalties diverge at singular matrices).  A stack of
+    spectra ``(K, R)`` with one scale each (or one for all) gives ``(K,)`` values.
     """
+    e = np.asarray(eigenvalues, dtype=float) / np.asarray(scale, dtype=float)[..., None]
     if not penalty.active:
-        return 0.0
-    e = np.asarray(eigenvalues, dtype=float) / scale
-    if np.any(e <= 0):
-        return np.inf
-    if penalty.kind == "iw":
-        return 0.5 * penalty.lam * float(np.sum(np.log(e) + 1.0 / e))
-    return 0.25 * penalty.lam * float(np.sum(e + 1.0 / e))
+        values = np.zeros(e.shape[:-1])
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if penalty.kind == "iw":
+                values = 0.5 * penalty.lam * np.sum(np.log(e) + 1.0 / e, axis=-1)
+            else:
+                values = 0.25 * penalty.lam * np.sum(e + 1.0 / e, axis=-1)
+        values = np.where(np.any(e <= 0, axis=-1), np.inf, values)
+    return float(values) if values.ndim == 0 else values
 
 
 def penalty_value(penalty: Penalty, cov: np.ndarray, scale: float) -> float:
@@ -239,10 +284,11 @@ def floor_eigenvalues(e: np.ndarray) -> np.ndarray:
     """Raise eigenvalues to at least ``SPECTRUM_FLOOR_RTOL * (spectral radius + 1)``.
 
     The penalties diverge at zero eigenvalues, so their scale updates need a
-    strictly positive spectrum.
+    strictly positive spectrum.  Each spectrum of a ``(K, R)`` stack gets its own floor.
     """
     e = np.asarray(e, dtype=float)
-    return np.maximum(e, SPECTRUM_FLOOR_RTOL * (max(float(e.max()), 0.0) + 1.0))
+    return np.maximum(e, SPECTRUM_FLOOR_RTOL
+                      * (np.maximum(e.max(axis=-1, keepdims=True), 0.0) + 1.0))
 
 
 def floor_spectrum(cov: np.ndarray) -> np.ndarray:
@@ -254,8 +300,8 @@ def floor_spectrum(cov: np.ndarray) -> np.ndarray:
     return es.compose(floored)
 
 
-def _penalized_stationarity_roots(d_values: np.ndarray, w: float, lam: float, s: float,
-                                  iw: bool) -> np.ndarray:
+def _penalized_stationarity_roots(d_values: np.ndarray, w: np.ndarray, lam: float,
+                                  s: np.ndarray, iw: bool) -> np.ndarray:
     """Real parts of the roots of ``g'(e) = 0`` with denominators cleared.
 
     One polynomial per eigenvalue (highest degree first):
@@ -264,27 +310,28 @@ def _penalized_stationarity_roots(d_values: np.ndarray, w: float, lam: float, s:
     * "nn": ``lam e^4 + (2Ws + 2lam) e^3 + (2Ws(1-d) + lam(1-s^2)) e^2
       - 2 lam s^2 e - lam s^2``
 
-    The roots of the whole spectrum come from one batched eigenvalue call
-    on the stacked companion matrices; shape ``(R, degree)``.
+    ``w`` and ``s`` broadcast against the spectra ``(..., R)``.  The roots of
+    every spectrum come from one batched eigenvalue call on the stacked
+    companion matrices; shape ``(..., R, degree)``.
     """
     one = np.ones_like(d_values)
     if iw:
         coeffs = np.stack([(w + lam) * one, w * (1.0 - d_values) + lam * (2.0 - s),
-                           lam * (1.0 - 2.0 * s) * one, -lam * s * one], axis=1)
+                           lam * (1.0 - 2.0 * s) * one, -lam * s * one], axis=-1)
     else:
         coeffs = np.stack([lam * one, (2.0 * w * s + 2.0 * lam) * one,
                            2.0 * w * s * (1.0 - d_values) + lam * (1.0 - s * s),
-                           -2.0 * lam * s * s * one, -lam * s * s * one], axis=1)
-    deg = coeffs.shape[1] - 1
-    companion = np.zeros((len(d_values), deg, deg))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+                           -2.0 * lam * s * s * one, -lam * s * s * one], axis=-1)
+    deg = coeffs.shape[-1] - 1
+    companion = np.zeros(d_values.shape + (deg, deg))
+    companion[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
+    companion[..., np.arange(1, deg), np.arange(deg - 1)] = 1.0
     return np.linalg.eigvals(companion).real
 
 
-def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
-                             penalty: Penalty, scale: float) -> np.ndarray:
-    """Penalized eigenvalue solves for a whole spectrum at once.
+def solve_penalized_spectrum(d_values: np.ndarray, total_weight, penalty: Penalty,
+                             scale) -> np.ndarray:
+    """Penalized eigenvalue solves for a whole spectrum, or a stack of them, at once.
 
     In the noise-whitened basis the objective separates across eigenvalues:
     for sample eigenvalue ``d`` the contribution of prior eigenvalue
@@ -300,14 +347,19 @@ def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
     The positive root with the largest ``g`` is polished by one Newton step
     on ``g'``, kept only if ``g`` does not fall, so that ulp-identical
     problems agree to machine precision.
+
+    ``d_values`` is one spectrum ``(R,)`` or a stack ``(K', R)``;
+    ``total_weight`` and ``scale`` are one number or one per spectrum.
     """
     d_values = np.asarray(d_values, dtype=float)
     if not penalty.active:
         return np.maximum(d_values - 1.0, 0.0)
-    w, lam, s = total_weight, penalty.lam, scale
-    iw = penalty.kind == "iw"
+    # One W and s per spectrum, broadcast over its eigenvalues.
+    w = np.asarray(total_weight, dtype=float)[..., None]
+    s = np.asarray(scale, dtype=float)[..., None]
+    lam, iw = penalty.lam, penalty.kind == "iw"
 
-    def g(e, d=d_values):
+    def g(e, d, w, s):
         with np.errstate(divide="ignore", invalid="ignore"):
             lik = -0.5 * w * (np.log1p(e) + d / (1.0 + e))
             if iw:
@@ -315,8 +367,9 @@ def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
             return lik - 0.25 * lam * (e / s + s / e)
 
     roots = _penalized_stationarity_roots(d_values, w, lam, s, iw)
-    values = np.where(roots > 0, g(roots, d_values[:, None]), -np.inf)
-    e = roots[np.arange(len(d_values)), np.argmax(values, axis=1)]
+    values = np.where(roots > 0, g(roots, d_values[..., None], w[..., None], s[..., None]),
+                      -np.inf)
+    e = np.take_along_axis(roots, np.argmax(values, axis=-1)[..., None], axis=-1)[..., 0]
 
     u1 = 1.0 + e
     gp = -0.5 * w * (u1 - d_values) / u1**2
@@ -329,21 +382,33 @@ def solve_penalized_spectrum(d_values: np.ndarray, total_weight: float,
         gpp -= 0.5 * lam * s / e**3
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = e - gp / gpp
-    return np.where((newton > 0) & (g(newton) >= g(e)), newton, e)
+    return np.where((newton > 0) & (g(newton, d_values, w, s) >= g(e, d_values, w, s)),
+                    newton, e)
 
 
-def _truncated_solution(problem: WeightedProblem, rank1: bool) -> np.ndarray:
-    """The ``ted`` solution ``L Q diag(e) Q^T L^T`` from ``S / W = Q diag(d) Q^T``.
+def truncated_solution(problem: WeightedProblem, rank1, cols=slice(None)) -> np.ndarray:
+    """The ``ted`` solutions ``L Q_k diag(e_k) Q_k^T L^T`` of the columns ``cols``, ``(K', R, R)``.
 
-    ``e`` is :func:`solve_penalized_spectrum` of ``d``; ``rank1`` keeps its top entry.
+    One stacked ``eigh`` of ``S_k / W_k = Q_k diag(d_k) Q_k^T`` and one
+    :func:`solve_penalized_spectrum` of the ``(K', R)`` spectra give the
+    ``e_k``; a row where ``rank1`` (one flag, or one per column) holds keeps
+    only the top entry of the unpenalized truncation instead.
     """
-    es = linalg.eigh_descending(problem.whitened_gram / problem.total_weight)
-    e = solve_penalized_spectrum(es.values, problem.total_weight, problem.penalty,
-                                 problem.scale)
-    if rank1:
-        e[1:] = 0.0
+    totals, scales = problem._columns(cols)
+    es = linalg.eigh_descending(problem._grams[cols] / totals[:, None, None])
+    e = solve_penalized_spectrum(es.values, totals, problem.penalty, scales)
+    rank1 = np.broadcast_to(rank1, totals.shape)
+    if rank1.any():
+        top = np.maximum(es.values - 1.0, 0.0)
+        top[:, 1:] = 0.0
+        e = np.where(rank1[:, None], top, e)
     lower = problem.dataset.noise_cholesky
     return linalg.sym(lower @ es.compose(e) @ lower.T)
+
+
+def _unstacked(problem: WeightedProblem, stack: np.ndarray) -> np.ndarray:
+    """``stack`` for 2-d weights, its one matrix for 1-d weights."""
+    return stack if problem.weights.ndim == 2 else stack[0]
 
 
 def ted_update(problem: WeightedProblem) -> np.ndarray:
@@ -354,16 +419,20 @@ def ted_update(problem: WeightedProblem) -> np.ndarray:
     eigenvalue solves its own 1-d problem, keeping the sample eigenvectors.
     The result is mapped back to the original coordinates, so an active
     penalty is measured in the noise-whitened metric (it pulls ``U/s``
-    toward the noise covariance rather than the identity).
+    toward the noise covariance rather than the identity).  2-d weights give
+    one solution per column, ``(K', R, R)``.
     """
-    return _truncated_solution(problem, rank1=False)
+    return _unstacked(problem, truncated_solution(problem, rank1=False))
 
 
 def ted_rank1_update(problem: WeightedProblem) -> np.ndarray:
-    """Exact rank-1-constrained solution for shared noise (no penalty)."""
+    """Exact rank-1-constrained solution for shared noise (no penalty).
+
+    2-d weights give one solution per column, ``(K', R, R)``.
+    """
     if problem.penalty.active:
         raise UnsupportedPenaltyError("penalties are not supported with rank-1 constraints")
-    return _truncated_solution(problem, rank1=True)
+    return _unstacked(problem, truncated_solution(problem, rank1=True))
 
 
 def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
@@ -373,12 +442,18 @@ def ed_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
     ``B_j + b_j b_j^T`` with ``b_j = U (U + V_j)^{-1} x_j`` and
     ``B_j = U (U + V_j)^{-1} V_j``.  With the "iw" penalty the step is the
     penalized closed form ``(sum_j w_j (B_j + b_j b_j^T) + lam * s * I) /
-    (W + lam)``.  Never decreases the penalized objective.
+    (W + lam)``.  Never decreases the penalized objective.  2-d weights take
+    one ``current`` per column, ``(K', R, R)``, and give as many steps.
     """
     if problem.penalty.kind == "nn":
         raise UnsupportedPenaltyError("the nuclear-norm penalty has no closed-form ed update")
     current = np.asarray(current, dtype=float)
-    return prepare_components(problem.dataset, current[None]).ed_update(0, problem)
+    if current.shape[:-2] != problem.weights.shape[1:]:
+        raise DimensionMismatchError(
+            f"need one current covariance per weight column, got shape {current.shape}")
+    components = prepare_components(problem.dataset, current.reshape((-1,) + current.shape[-2:]))
+    return components.ed_update(np.arange(len(components.covariances))
+                                if current.ndim == 3 else 0, problem)
 
 
 def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
@@ -504,16 +579,22 @@ def scale_factor_update(cov: np.ndarray, penalty: Penalty) -> float:
         np.linalg.eigvalsh(linalg.sym(np.asarray(cov, dtype=float))), penalty)
 
 
-def scale_factor_from_eigenvalues(e: np.ndarray, penalty: Penalty) -> float:
-    """:func:`scale_factor_update` from the eigenvalues of ``cov``."""
-    if not penalty.active:
-        return 1.0
+def scale_factor_from_eigenvalues(e: np.ndarray, penalty: Penalty):
+    """:func:`scale_factor_update` from the eigenvalues of ``cov``.
+
+    A stack of spectra ``(K, R)`` gives ``(K,)`` scales.
+    """
     e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
+    if not penalty.active:
+        scales = np.ones(e.shape[:-1])
+    elif np.any(e <= 0):
         raise SingularMatrixError(
             "scale update needs strictly positive eigenvalues; floor the spectrum first"
         )
-    inv_sum = float(np.sum(1.0 / e))
-    if penalty.kind == "iw":
-        return len(e) / inv_sum
-    return float(np.sqrt(np.sum(e) / inv_sum))
+    else:
+        inv_sum = np.sum(1.0 / e, axis=-1)
+        if penalty.kind == "iw":
+            scales = e.shape[-1] / inv_sum
+        else:
+            scales = np.sqrt(np.sum(e, axis=-1) / inv_sum)
+    return float(scales) if scales.ndim == 0 else scales

@@ -15,6 +15,12 @@ def run(*argv):
     return main(list(argv))
 
 
+# A one-cell bench grid that later flags may empty or break.
+BENCH_INPUTS = ("--scenarios", "hybrid", "--algorithms", "ed", "--penalties", "none",
+                "--n", "20", "--n-test", "10", "--R", "3", "--K", "2", "--replicates", "1",
+                "--max-iterations", "2", "--threads", "1")
+
+
 @pytest.fixture
 def sim_dir(tmp_path):
     out = tmp_path / "sim"
@@ -323,6 +329,43 @@ class TestUsage:
         }[command]
         assert run(command, *inputs, *flag, "--out", str(tmp_path / "bad")) == 1
         assert f"error: argument {flag[0]}: must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ("--replicates", "0"),
+        ("--replicates", "-1"),
+        ("--threads", "-3"),
+    ])
+    def test_empty_replicates_and_negative_threads_are_usage_errors(self, tmp_path, capsys,
+                                                                    flag):
+        out = tmp_path / "bad"
+        assert run("bench", *BENCH_INPUTS, *flag, "--out", str(out)) == 1
+        assert f"error: argument {flag[0]}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        ("--scenarios", ","),
+        ("--algorithms", ","),
+        ("--algorithms", "fa", "--penalties", "iw,nn"),  # fa takes no penalty
+    ])
+    def test_bench_grid_without_cells_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "bad"
+        assert run("bench", *BENCH_INPUTS, *grid, "--out", str(out)) == 1
+        assert "error: the bench grid has no cells" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "evaluate"])
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf"])
+    def test_threshold_outside_unit_interval_is_usage_error(self, sim_dir, tmp_path, capsys,
+                                                           command, value):
+        inputs = BENCH_INPUTS if command == "bench" else (
+            "--test-x", str(sim_dir / "test_x.csv"), "--test-noise", str(sim_dir / "noise.csv"),
+            "--theta-test", str(sim_dir / "test_theta.csv"),
+            "--true-prior", str(sim_dir / "true_prior.json"),
+            "--fitted-prior", str(sim_dir / "true_prior.json"))
+        out = tmp_path / "bad"
+        assert run(command, *inputs, "--threshold", value, "--out", str(out)) == 1
+        assert "error: argument --threshold: must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

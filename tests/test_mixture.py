@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, random_psd
-from ebmnm import mixture, sim
+from ebmnm import mixture, sim, solvers
 from ebmnm.core import (
     ComponentConstraint,
     Dataset,
@@ -206,6 +206,24 @@ class TestFit:
                 slack = 2e-11 * np.abs(objective).max()
                 assert np.diff(objective).min() >= -slack, (s, algorithm, penalty.kind, kinds,
                                                             shared)
+
+    def test_shared_noise_m_step_is_one_stacked_solve(self, rng, monkeypatch):
+        """A 5-iteration ted+iw fit, K=6: one problem and one spectrum solve per iteration."""
+        calls = {"WeightedProblem": 0, "solve_penalized_spectrum": 0}
+        for name in calls:
+            original = getattr(solvers, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+        ds = random_dataset(rng, 200, 3)
+        config = FitConfig("ted", Penalty.inverse_wishart(3.0), max_iterations=5,
+                           tolerance=1e-300)
+        result = fit(ds, random_init(3, 6, seed=5), config)
+        assert result.trace.iterations_run == 5
+        assert calls == {"WeightedProblem": 5, "solve_penalized_spectrum": 5}
 
     def test_dead_component_left_untouched(self, rng):
         ds = random_dataset(rng, 30, 2)

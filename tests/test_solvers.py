@@ -16,6 +16,7 @@ from conftest import random_dataset, random_psd
 from ebmnm import solvers
 from ebmnm.core import Dataset, Penalty
 from ebmnm.exceptions import (
+    DimensionMismatchError,
     InvariantViolationError,
     SingularMatrixError,
     UnsupportedNoiseError,
@@ -61,6 +62,133 @@ class TestWeightedProblem:
             WeightedProblem(ds, np.zeros(3))
         with pytest.raises(InvariantViolationError):
             WeightedProblem(ds, np.full(3, 1.5))
+
+
+    @pytest.mark.parametrize("bad, stacked, scale", [
+        (np.array([0.5, -0.1, 0.2]), None, 1.0),     # a negative weight
+        (np.full(3, 1.5), None, 1.0),                # weights above 1
+        (np.zeros(3), None, 1.0),                    # an all-zero column
+        (np.ones(4), np.ones((4, 2)), 1.0),          # one row too many
+        (np.ones(4), np.ones((3, 2, 1)), 1.0),       # too many axes
+        (np.ones(3), np.ones((3, 2)), 0.0),          # a nonpositive scale
+        (np.ones(3), np.ones((3, 2)), -1.0),
+    ])
+    def test_columns_fail_as_one_column_does(self, rng, bad, stacked, scale):
+        ds = Dataset(rng.standard_normal((3, 2)), np.eye(2))
+        if stacked is None:  # the bad column next to a good one
+            stacked = np.column_stack([np.full(3, 0.5), bad])
+        with pytest.raises(InvariantViolationError) as single:
+            WeightedProblem(ds, bad, scale)
+        with pytest.raises(InvariantViolationError) as columns:
+            WeightedProblem(ds, stacked, np.array([1.0, scale]))
+        # The wrong-shape message names the shape it got; the rest is the same.
+        assert str(columns.value).split(", got")[0] == str(single.value).split(", got")[0]
+
+    def test_columns_keep_their_shapes(self, rng):
+        ds = Dataset(rng.standard_normal((5, 3)), random_psd(rng, 3))
+        w = rng.random((5, 2))
+        problem = WeightedProblem(ds, w, np.array([1.0, 2.0]))
+        assert problem.total_weight.shape == (2,)
+        assert problem.whitened_gram.shape == (2, 3, 3)
+        single = WeightedProblem(ds, w[:, 1], 2.0)
+        assert isinstance(single.total_weight, float)
+        assert single.whitened_gram.shape == (3, 3)
+        np.testing.assert_array_equal(problem.whitened_gram[1], single.whitened_gram)
+        with pytest.raises(InvariantViolationError, match="one number or one per column"):
+            WeightedProblem(ds, w, np.ones(3))
+
+
+@st.composite
+def stacked_cases(draw):
+    """A shared-noise dataset at magnitude ``s`` with ``(n, K')`` weights, some rows zero.
+
+    Returns the dataset, the weights, ``s`` and ``K'`` penalty scales in (0.1, 10).
+    """
+    r, k, n = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["identity", "diagonal", "correlated"]))
+    s = draw(st.sampled_from([1e-50, 1.0, 1e50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = {"identity": np.eye(r), "diagonal": np.diag(rng.uniform(0.1, 10.0, r)),
+            "correlated": random_psd(rng, r)}[kind]
+    x = s * rng.standard_normal((n, r)) @ np.linalg.cholesky(3.0 * base).T
+    w = rng.random((n, k))
+    zero = rng.random(n) < 0.3
+    zero[rng.integers(n)] = False  # every column keeps a positive sum
+    w[zero] = 0.0
+    return Dataset(x, s * s * base), w, s, rng.uniform(0.1, 10.0, k)
+
+
+class TestStackedUpdates:
+    """``(n, K')`` weights give the K' single-column updates.
+
+    Fixed before the first run: within 1e-9 of each single result's largest entry.
+    """
+
+    @staticmethod
+    def assert_columns(stacked, singles):
+        assert stacked.shape == (len(singles),) + singles[0].shape
+        for got, want in zip(stacked, singles):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @settings(max_examples=60)
+    @given(case=stacked_cases(), kind=st.sampled_from(["none", "iw", "nn"]))
+    def test_ted(self, case, kind):
+        ds, w, _, scales = case
+        penalty = Penalty.none() if kind == "none" else Penalty(kind, float(ds.dim))
+        stacked = ted_update(WeightedProblem(ds, w, scales, penalty))
+        self.assert_columns(stacked, [ted_update(WeightedProblem(ds, w[:, i], scales[i], penalty))
+                                      for i in range(w.shape[1])])
+
+    @settings(max_examples=40)
+    @given(case=stacked_cases())
+    def test_ted_rank1(self, case):
+        ds, w, _, _ = case
+        singles = [ted_rank1_update(WeightedProblem(ds, col)) for col in w.T]
+        self.assert_columns(ted_rank1_update(WeightedProblem(ds, w)), singles)
+        # Rank-1 rows among free ones, as the fit mixes them.
+        rank1 = np.arange(w.shape[1]) % 2 == 0
+        mixed = solvers.truncated_solution(WeightedProblem(ds, w), rank1)
+        self.assert_columns(mixed, [u if flag else ted_update(WeightedProblem(ds, col))
+                                    for u, flag, col in zip(singles, rank1, w.T)])
+
+    @settings(max_examples=60)
+    @given(case=stacked_cases(), kind=st.sampled_from(["none", "iw"]))
+    def test_ed(self, case, kind):
+        ds, w, s, scales = case
+        penalty = Penalty.none() if kind == "none" else Penalty.inverse_wishart(float(ds.dim))
+        rng = np.random.default_rng(w.shape[0])
+        current = np.stack([s * s * random_psd(rng, ds.dim) for _ in range(w.shape[1])])
+        # The ed penalty is measured in the data metric, so its scale carries s^2.
+        stacked = ed_update(WeightedProblem(ds, w, s * s * scales, penalty), current)
+        self.assert_columns(stacked, [
+            ed_update(WeightedProblem(ds, w[:, i], s * s * scales[i], penalty), current[i])
+            for i in range(w.shape[1])])
+
+    def test_ed_per_observation_noise(self, rng):
+        ds = random_dataset(rng, 30, 3, shared=False)
+        w = rng.random((30, 3))
+        current = np.stack([random_psd(rng, 3) for _ in range(3)])
+        self.assert_columns(ed_update(WeightedProblem(ds, w), current),
+                            [ed_update(WeightedProblem(ds, col), u)
+                             for col, u in zip(w.T, current)])
+
+    def test_ed_needs_one_current_per_column(self, rng):
+        ds = random_dataset(rng, 10, 2)
+        with pytest.raises(DimensionMismatchError):
+            ed_update(WeightedProblem(ds, rng.random((10, 3))), np.stack([np.eye(2)] * 2))
+
+    def test_spectrum_helpers_read_stacks(self, rng):
+        e = rng.uniform(0.1, 5.0, (4, 3))
+        scales = rng.uniform(0.5, 2.0, 4)
+        for penalty in (Penalty.inverse_wishart(3.0), Penalty.nuclear_norm(3.0)):
+            np.testing.assert_array_equal(
+                solvers.penalty_from_eigenvalues(penalty, e, scales),
+                [penalty_from_eigenvalues(penalty, row, c) for row, c in zip(e, scales)])
+            np.testing.assert_array_equal(
+                solvers.scale_factor_from_eigenvalues(e, penalty),
+                [solvers.scale_factor_from_eigenvalues(row, penalty) for row in e])
+        np.testing.assert_array_equal(solvers.floor_eigenvalues(e - 1.0),
+                                      [solvers.floor_eigenvalues(row) for row in e - 1.0])
 
 
 class TestTedUpdate:
