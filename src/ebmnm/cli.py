@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -244,6 +246,25 @@ _BENCH_COLUMNS = ("scenario", "replicate", "n", "R", "K", "algorithm", "penalty"
                   "fsr", "significant", "seconds")
 
 
+# The variables a BLAS library reads its thread count from when it loads.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _environment(values: dict):
+    """Set environment variables for the ``with`` block, then restore them."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _bench_cell(task: dict) -> dict:
     """Run one (scenario, replicate, algorithm, penalty) cell; pure in task."""
     scenario = sim.Scenario(kind=task["scenario"], n=task["n"], dim=task["R"],
@@ -313,9 +334,15 @@ def cmd_bench(args) -> int:
         raise _UsageError("the bench grid has no cells: name at least one scenario and one "
                           "algorithm with a penalty it accepts")
     out = _out_dir(args)
-    threads = args.threads or os.cpu_count() or 1
-    if threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    cores = os.cpu_count() or 1
+    workers = min(args.threads or cores, len(tasks))
+    if workers > 1:
+        # Spawned workers load numpy afresh, so each reads its share of the
+        # cores for its BLAS pool from the environment it starts with.
+        share = str(max(1, cores // workers))
+        with _environment(dict.fromkeys(_BLAS_THREAD_VARIABLES, share)), \
+                concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows = list(pool.map(_bench_cell, tasks))
     else:
         rows = [_bench_cell(t) for t in tasks]

@@ -20,9 +20,13 @@ With shared noise every live ``ted``, rank-1 ``ted`` and ``ed`` component
 shares one weighted problem, one column of responsibilities each, and is
 updated in one stacked solve (:func:`ebmnm.solvers.truncated_solution`, the
 kernel's ``ed_update``); the penalty values and scale updates read the
-``(K, R)`` spectra in one call each.  ``scaled`` and ``fa`` components, and
-every component under per-observation noise, get one problem each.
-A ``scaled`` update keeps the current multiple unless it finds a better one.
+``(K, R)`` spectra in one call each.  A ``scaled`` component whose whitened
+base has one distinct nonzero eigenvalue joins that problem and takes the
+exact multiple (:func:`ebmnm.solvers.scaled_solution`); its whitened base
+is decomposed once per fit.  ``fa`` components, the other ``scaled`` ones
+and every component under per-observation noise get one problem each.
+A ``scaled`` update keeps the current multiple unless the new one scores
+higher.
 """
 
 from __future__ import annotations
@@ -139,12 +143,16 @@ def random_init(dim: int, n_components: int, seed,
 class _State:
     """Mutable fit state; condensed back into a MixturePrior at the end."""
 
-    def __init__(self, prior: MixturePrior):
+    def __init__(self, prior: MixturePrior, dataset: Dataset):
         self.weights = prior.weights.copy()
         self.covariances = [u.copy() for u in prior.covariances]
         self.scales = prior.scales.copy()
         self.constraints = prior.constraints
         self.evaluation = None  # (components, log-densities) of the covariances
+        # The whitened base of each scaled component, once per fit; None
+        # where its update needs the search.
+        self.bases = {k: solvers.single_value_base(dataset, c.base)
+                      for k, c in enumerate(prior.constraints) if c.kind == "scaled"}
 
     def to_prior(self) -> MixturePrior:
         return MixturePrior(
@@ -179,12 +187,21 @@ def _penalty_total(state: _State, penalty: Penalty, spectra: np.ndarray | None) 
 
 
 def _batched(state: _State, k: int, rank1_algorithm: str) -> bool:
-    """Whether component ``k`` takes ``ted``, rank-1 ``ted`` or ``ed``.
+    """Whether component ``k`` takes ``ted``, rank-1 ``ted``, ``ed`` or the exact ``scaled`` step.
 
-    That is every free component, and every rank-1 one that ``fa`` does not fit.
+    That is every free component, every rank-1 one that ``fa`` does not fit
+    and every scaled one with a :func:`ebmnm.solvers.single_value_base`.
     """
     kind = state.constraints[k].kind
+    if kind == "scaled":
+        return state.bases[k] is not None
     return kind == "free" or (kind == "rank1" and rank1_algorithm != "fa")
+
+
+def _multiple(state: _State, k: int) -> float:
+    """The multiple ``c`` of scaled component ``k``'s base that its covariance holds."""
+    base = state.constraints[k].base
+    return float(np.sum(state.covariances[k] * base)) / float(np.sum(base * base))
 
 
 def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
@@ -197,8 +214,7 @@ def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
     constraint = state.constraints[k]
     if constraint.kind == "scaled":
         base = constraint.base
-        current = float(np.sum(state.covariances[k] * base)) / float(np.sum(base * base))
-        state.covariances[k] = solvers.scaled_update(problem, base, current) * base
+        state.covariances[k] = solvers.scaled_update(problem, base, _multiple(state, k)) * base
     elif constraint.kind == "rank1":
         u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
         state.covariances[k] = np.outer(u, u)
@@ -211,15 +227,22 @@ def _update_shared(state: _State, ks: np.ndarray, problem: solvers.WeightedProbl
     """Replace the covariances ``ks`` from one problem with a weight column each.
 
     Rank-1 components and, under ``ted``, free ones take one stacked
-    truncation; free ones under ``ed`` take one stacked ``ed`` step.
+    truncation; free ones under ``ed`` take one stacked ``ed`` step; scaled
+    ones take the exact multiple of their base.
     """
-    rank1 = np.array([state.constraints[k].kind == "rank1" for k in ks])
-    ed = ~rank1 & (free_algorithm != "ted")
+    kinds = np.array([state.constraints[k].kind for k in ks])
+    scaled = kinds == "scaled"
+    ed = (kinds == "free") & (free_algorithm != "ted")
+    ted = ~scaled & ~ed
     new = np.empty((len(ks),) + state.covariances[0].shape)
-    if not ed.all():
-        new[~ed] = solvers.truncated_solution(problem, rank1[~ed], ~ed)
+    if ted.any():
+        new[ted] = solvers.truncated_solution(problem, (kinds == "rank1")[ted], ted)
     if ed.any():
         new[ed] = components.ed_update(ks[ed], problem, ed)
+    if scaled.any():
+        c = solvers.scaled_solution(problem, [state.bases[k] for k in ks[scaled]],
+                                    [_multiple(state, k) for k in ks[scaled]], scaled)
+        new[scaled] = c[:, None, None] * np.stack([state.constraints[k].base for k in ks[scaled]])
     for k, u in zip(ks, new):
         state.covariances[k] = u
 
@@ -258,7 +281,7 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         # their covariance and scale untouched.
         live = np.flatnonzero((state.weights >= DEAD_COMPONENT_WEIGHT)
                               & (resp.sum(axis=0) >= DEAD_COMPONENT_WEIGHT))
-        # With shared noise the ted, rank-1 ted and ed updates share one problem.
+        # With shared noise the ted, rank-1 ted, ed and exact scaled updates share one problem.
         batched = np.array([dataset.shared_noise and _batched(state, k, rank1_algorithm)
                             for k in live], dtype=bool)
         if batched.any():
@@ -311,7 +334,7 @@ def fit(dataset: Dataset, init: MixturePrior, config: FitConfig) -> FitResult:
         dataset and init.
     """
     config.validate_for(dataset, init)
-    state = _State(init)
+    state = _State(init, dataset)
     t0 = time.perf_counter()
     if config.warm_start_iterations > 0:
         # ed has no closed form under the nuclear-norm penalty; warm starts

@@ -11,17 +11,21 @@ transformed weighted sample covariance; each penalized eigenvalue is the
 best positive root of a cubic ("iw") or quartic ("nn") stationarity
 polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
-``scaled_update`` handles the one-dimensional problem ``U = c * base``.
+``scaled_update`` handles the one-dimensional problem ``U = c * base``:
+exactly under shared noise when the whitened base has one distinct nonzero
+eigenvalue (:func:`scaled_solution`), by a 1-d search otherwise.
 
-With a shared noise ``V = L L^T`` the data enter ``ted`` and ``ed`` only
-through :attr:`WeightedProblem.whitened_gram`, ``S = sum_j w_j z_j z_j^T``
-with ``z_j = L^{-1} x_j``: ``ted`` reads the spectrum of ``S / W`` and
-``ed`` reads ``S``.  A :class:`WeightedProblem` with ``(n, K')`` weights
-holds K' such problems, and ``ted``, rank-1 ``ted`` and ``ed`` solve them
-at once: one stacked ``eigh`` of the ``S_k / W_k``, one
-:func:`solve_penalized_spectrum` over the ``(K', R)`` spectra and one
-stacked ``ed`` step.  The ``scaled`` objective and the ``fa`` step depend on
-the noise alone, so each is one function that reads the dataset's noise
+With a shared noise ``V = L L^T`` the data enter ``ted``, ``ed`` and the
+exact ``scaled`` step only through :attr:`WeightedProblem.whitened_gram`,
+``S = sum_j w_j z_j z_j^T`` with ``z_j = L^{-1} x_j``: ``ted`` reads the
+spectrum of ``S / W``, ``ed`` reads ``S`` and ``scaled`` reads ``tr(P S)``
+for the projector ``P`` onto its whitened base.  A :class:`WeightedProblem`
+with ``(n, K')`` weights holds K' such problems, and ``ted``, rank-1
+``ted``, ``ed`` and the exact ``scaled`` step solve them at once: one
+stacked ``eigh`` of the ``S_k / W_k``, one :func:`solve_penalized_spectrum`
+over the ``(K', R)`` spectra, one stacked ``ed`` step and one vector of
+``scaled`` multiples.  The ``scaled`` objective and the ``fa`` step depend
+on the noise alone, so each is one function that reads the dataset's noise
 factor: a stack of m = 1 (shared) or m = n (per-observation) inverse
 Cholesky factors ``W_j`` with the whitened rows ``z_j = W_j x_j``.
 
@@ -32,12 +36,14 @@ of m = 1 (shared) or m = n (per-observation) whiteners ``W_kj`` with
 log-densities read them through :func:`ebmnm.linalg.mvn_logpdf_zero_mean`,
 and the posterior moments and the ``ed`` step through the gains
 ``P_kj = U_k W_kj^T W_kj``: the means are ``P_kj x_j`` and the covariances
-``sym(P_kj V_j)``.  The kind of noise matters at two places only, each for
-speed: building the whiteners (one stacked ``eigh`` of the whitened ``U_k``
-for a shared noise, an inverse Cholesky factor of each ``U_k + V_j``
-otherwise) and the data part of the ``ed`` step (the whitened Grams of
-every column at once for a shared noise, the ``(n, R)`` means of one
-component at a time otherwise).
+``sym(P_kj V_j)``.  The kind of noise matters at three places only, each
+for speed: building the whiteners (one stacked ``eigh`` of the whitened
+``U_k`` for a shared noise, an inverse Cholesky factor of each ``U_k + V_j``
+otherwise), the log-densities (one GEMM of the rows against all K
+whiteners for a shared noise, one component at a time otherwise) and the
+data part of the ``ed`` step (the whitened Grams of every column at once
+for a shared noise, the ``(n, R)`` means of one component at a time
+otherwise).
 
 The gain keeps the rows of ``U_k``, so a coordinate where ``U_k`` has a
 zero row gets an exactly zero mean and variance, and the lfsr convention
@@ -66,6 +72,8 @@ from .exceptions import (
 SCALAR_MAXITER = 200
 # Relative floor applied to eigenvalues before penalty scale updates.
 SPECTRUM_FLOOR_RTOL = 1e-8
+# Cap on the bytes of the shared-noise log-densities' per-block product.
+LOG_DENSITY_BLOCK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,12 @@ class Components:
     Shared noise ``V = L L^T`` takes one stacked eigendecomposition
     ``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T``, giving
     ``W_k = diag(1 + e_k)^{-1/2} Q_k^T L^{-1}``; the spectra stay in
-    :attr:`values` (``(K, R)``, ascending) for the ``ted`` penalty.
+    :attr:`values` (``(K, R)``, ascending) for the ``ted`` penalty.  Rounding
+    can leave a zero of a PSD ``U_k`` slightly negative, below -1 when
+    ``U_k`` lies far above the noise, so negative ``e_k`` within
+    ``linalg.PSD_RTOL`` of the largest are set to 0; a more negative one
+    means ``U_k`` is indefinite, and one at or below -1 raises
+    ``NumericalFailureError``.
     Per-observation noise factors ``U_k + V_j = L_kj L_kj^T`` into the exact
     triangular ``W_kj = L_kj^{-1}``, and :attr:`values` is ``None``; an
     ``eigh`` there is about 2.5x slower (14 against 5.7 ms for K=10 stacks at
@@ -155,9 +168,13 @@ class Components:
         if dataset.shared_noise:
             whiten = dataset.noise_whitener
             try:
-                self.values, vectors = np.linalg.eigh(linalg.sym(whiten @ covariances @ whiten.T))
+                values, vectors = np.linalg.eigh(linalg.sym(whiten @ covariances @ whiten.T))
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+            # A negative eigenvalue within rounding of the largest one (linalg.PSD_RTOL)
+            # is a zero of a PSD U_k; anything more negative is an indefinite U_k.
+            rounding = (values < 0) & (values >= -linalg.PSD_RTOL * values[:, -1:])
+            self.values = np.where(rounding, 0.0, values)
             if not np.all(1.0 + self.values > 0):
                 raise NumericalFailureError(
                     "a covariance plus the noise is not positive definite")
@@ -172,10 +189,27 @@ class Components:
                             for w in self.whiteners]
 
     def log_densities(self) -> np.ndarray:
-        """``log N(x_j; 0, U_k + V_j)`` with shape (n, K)."""
+        """``log N(x_j; 0, U_k + V_j)`` with shape (n, K).
+
+        With shared noise the rows meet all K whiteners in one GEMM against
+        their ``(K R, R)`` stack, one block of rows at a time so that the
+        ``(rows, K R)`` product stays within ``LOG_DENSITY_BLOCK_BYTES``;
+        per-observation noise takes one component at a time.
+        """
         x = self.dataset.x
-        return np.column_stack([linalg.mvn_logpdf_zero_mean(x, w, d)
-                                for w, d in zip(self.whiteners, self.logdets)])
+        if not self.dataset.shared_noise:
+            return np.column_stack([linalg.mvn_logpdf_zero_mean(x, w, d)
+                                    for w, d in zip(self.whiteners, self.logdets)])
+        n, r = x.shape
+        k = len(self.whiteners)
+        stacked = self.whiteners[:, 0].reshape(k * r, r).T
+        const = r * np.log(2.0 * np.pi) + self.logdets[:, 0]
+        out = np.empty((n, k))
+        step = max(LOG_DENSITY_BLOCK_BYTES // (8 * k * r), 1)
+        for start in range(0, n, step):
+            z = (x[start:start + step] @ stacked).reshape(-1, k, r)
+            out[start:start + step] = -0.5 * (const + np.einsum("ikr,ikr->ik", z, z))
+        return out
 
     def _gains(self, k) -> np.ndarray:
         """``P_kj = U_k (U_k + V_j)^{-1} = U_k W_kj^T W_kj``, ``(m, R, R)``.
@@ -493,10 +527,9 @@ def fa_update(problem: WeightedProblem, current: np.ndarray) -> np.ndarray:
 def _diagonal_objective(const: float, omega: np.ndarray, b: np.ndarray, a: np.ndarray):
     """``c -> const - 1/2 sum_{j,i} [omega_j log(1 + c b_ji) + A_ji / (1 + c b_ji)]``.
 
-    The ``scaled`` objective of both kernels: ``omega`` is ``(m,)``, ``b`` and
-    ``a`` are ``(m, R)``, and ``b`` is clamped at 0 (``U_k`` may be singular).
+    The ``scaled`` objective of both kernels: ``omega`` is ``(m,)``, ``b >= 0``
+    and ``a`` are ``(m, R)``.
     """
-    b = np.maximum(b, 0.0)
     step = max(2**16 // b.size, 1)  # values per chunk, bounding its (values, m, R) arrays
 
     def f(c):
@@ -511,42 +544,102 @@ def _diagonal_objective(const: float, omega: np.ndarray, b: np.ndarray, a: np.nd
     return f
 
 
+def _whitened_base(whiteners: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``W_j B W_j^T = Q_j diag(b_j) Q_j^T`` for an ``(m, R, R)`` stack of whiteners.
+
+    Returns ``b`` ``(m, R)``, ascending, and ``Q`` ``(m, R, R)``.  A
+    singular base keeps its rank: ``B = root root^T`` drops the eigenvalues
+    of ``B`` at most ``R eps`` times its largest, and ``b_ji`` at most
+    ``R eps max_i b_ji`` are set to 0, so rounding never counts as a
+    direction of the base.
+    """
+    eps_r = len(base) * np.finfo(float).eps
+    e, vectors = np.linalg.eigh(np.asarray(base, dtype=float))
+    keep = e > eps_r * e[-1]
+    root = whiteners @ (vectors[:, keep] * np.sqrt(e[keep]))
+    b, q = np.linalg.eigh(root @ root.swapaxes(1, 2))
+    return np.where(b > eps_r * b[:, -1:], b, 0.0), q
+
+
 def scaled_objective(problem: WeightedProblem, base: np.ndarray):
     """``c -> phi(c * base; w)``, taking an array of ``c`` (or one value).
 
-    With ``W_j B W_j^T = Q_j diag(b_j) Q_j^T`` from the noise factor, the
-    :func:`_diagonal_objective` of ``b_j``, ``omega_j = w_j`` and
-    ``A_ji = w_j (Q_j^T z_j)_i^2``, summed over the rows of each noise matrix
-    first: O(R) per value for a shared noise, O(n R) for per-observation noise.
+    With the :func:`_whitened_base` ``W_j B W_j^T = Q_j diag(b_j) Q_j^T`` of the
+    noise factor, the :func:`_diagonal_objective` of ``b_j``, ``omega_j = w_j``
+    and ``A_ji = w_j (Q_j^T z_j)_i^2``, summed over the rows of each noise
+    matrix first: O(R) per value for a shared noise, O(n R) for
+    per-observation noise.
     """
     dataset, w = problem.dataset, problem.weights
     whiteners, logdets, z = dataset._noise_factor
     m, r = len(whiteners), dataset.dim
-    e, vectors = np.linalg.eigh(np.asarray(base, dtype=float))
-    # One name holds each (m, R, R) stack in turn; B = root root^T.
-    stack = whiteners @ (vectors * np.sqrt(np.maximum(e, 0.0)))
-    stack = stack @ stack.swapaxes(1, 2)
-    b, stack = np.linalg.eigh(stack)
-    y = linalg.per_row(stack.swapaxes(1, 2), z)
+    b, q = _whitened_base(whiteners, base)
+    y = linalg.per_row(q.swapaxes(1, 2), z)
     omega = w.reshape(m, -1).sum(axis=1)
     a = (w[:, None] * y * y).reshape(m, -1, r).sum(axis=1)
     const = -0.5 * float(omega @ (r * np.log(2.0 * np.pi) + logdets))
     return _diagonal_objective(const, omega, b, a)
 
 
-def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0.0) -> float:
-    """Maximize ``phi(c * base; w)`` over ``c >= 0``, never ending below ``current``.
+def single_value_base(dataset: Dataset, base: np.ndarray) -> tuple[float, int, np.ndarray] | None:
+    """``(b, r, P)`` when the whitened base has one distinct nonzero eigenvalue, else ``None``.
+
+    With a shared noise ``V = L L^T`` take the :func:`_whitened_base`
+    ``L^{-1} B L^{-T} = Q diag(b) Q^T``, whose rounding-level eigenvalues are
+    0 as in :func:`scaled_objective`.  The nonzero ones count as one value
+    ``b`` (their mean) when they lie within ``sqrt(eps) max(b)`` of each
+    other: a relative spread ``delta`` moves the ``scaled`` objective at
+    :func:`scaled_solution`'s maximizer by ``O(delta^2)``, below rounding.
+    ``r`` counts them and ``P = sum_{b_i > 0} q_i q_i^T`` projects onto their
+    eigenvectors.  Every rank-1 base qualifies, as does every base
+    proportional to ``V``; per-observation noise gives ``None``.
+    """
+    if not dataset.shared_noise:
+        return None
+    b, q = (v[0] for v in _whitened_base(dataset._noise_factor[0], base))
+    nonzero = b > 0
+    if not nonzero.any() or b[nonzero][0] < b[-1] * (1.0 - np.sqrt(np.finfo(float).eps)):
+        return None
+    q = q[:, nonzero]
+    return float(b[nonzero].mean()), int(nonzero.sum()), q @ q.T
+
+
+def scaled_solution(problem: WeightedProblem, bases, current, cols=slice(None)) -> np.ndarray:
+    """Exact ``scaled`` multiples of the columns ``cols`` under shared noise, ``(K',)``.
+
+    ``bases`` holds one :func:`single_value_base` ``(b, r, P)`` per column
+    and ``current`` one multiple each.  Over ``c >= 0`` the objective
+    ``phi(c B) = const - 1/2 [r W log(1 + c b) + A / (1 + c b)]``, with
+    ``A = tr(P S)`` from the problem's whitened Gram ``S``, has the one
+    maximizer ``c = max((A / (r W) - 1) / b, 0)``.  A column keeps its
+    ``current`` multiple when that scores higher after rounding.
+    """
+    totals, _ = problem._columns(cols)
+    b, r, projectors = (np.array(v) for v in zip(*bases))
+    a = np.einsum("kij,kij->k", projectors, problem._grams[cols])
+    rw = r * totals
+
+    def loss(c):
+        cb = c * b
+        return rw * np.log1p(cb) + a / (1.0 + cb)
+
+    c = np.maximum((a / rw - 1.0) / b, 0.0)
+    current = np.asarray(current, dtype=float)
+    return np.where(loss(current) < loss(c), current, c)
+
+
+def _scaled_search(problem: WeightedProblem, base: np.ndarray, f) -> float:
+    """The best ``c >= 0`` that a grid search and bounded Brent find for the objective ``f``.
 
     Scans a geometric grid (expanded until the objective stops growing at
-    the upper edge) in one call of the :func:`scaled_objective` and polishes
-    the best grid point's bracket with bounded Brent.  Both scale with the
-    data's weighted second moment; zero weighted data give 0.
+    the upper edge) in one call of ``f`` and polishes the best grid point's
+    bracket with bounded Brent.  Both scale with the data's weighted second
+    moment; zero weighted data give 0.
     """
     x = problem.dataset.x
     s_w = float(np.sum((x * problem.weights[:, None]) * x)) / problem.total_weight
     if s_w == 0.0:
         return 0.0
-    f = scaled_objective(problem, base)
     guess = s_w / np.trace(base)
     lo_c, hi_c = 1e-6 * guess, 1e3 * guess
     for _ in range(6):
@@ -564,6 +657,24 @@ def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0
                                        "maxiter": SCALAR_MAXITER})
         if np.isfinite(res.fun) and -res.fun > values[i]:
             best = float(res.x)
+    return best
+
+
+def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0.0) -> float:
+    """Maximize ``phi(c * base; w)`` over ``c >= 0``, never ending below ``current``.
+
+    Under shared noise a base with one distinct nonzero whitened eigenvalue
+    (:func:`single_value_base`) takes the exact :func:`scaled_solution`;
+    any other base, and per-observation noise, take a grid search polished
+    by bounded Brent.  Whichever of the result and ``current`` scores higher
+    on the :func:`scaled_objective` is returned.
+    """
+    f = scaled_objective(problem, base)
+    single = single_value_base(problem.dataset, base)
+    if single is None:
+        best = _scaled_search(problem, base, f)
+    else:
+        best = float(scaled_solution(problem, [single], [current])[0])
     return max(max(best, float(current), key=f), 0.0)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: files, exit codes, determinism, manifests."""
 
 import json
+import os
 
 import jsonschema
 import numpy as np
@@ -273,6 +274,26 @@ class TestBench:
         assert cells == [("ted", "none"), ("ted", "iw"), ("ted", "nn"),
                          ("ed", "none"), ("ed", "iw"), ("fa", "none")]
 
+
+    def test_results_do_not_depend_on_threads(self, tmp_path, monkeypatch):
+        """Two spawned workers write the bench.csv that one process writes, timings aside."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert run("bench", "--scenarios", "hybrid", "--algorithms", "ted,ed",
+                       "--penalties", "none", "--n", "40", "--n-test", "20", "--R", "3",
+                       "--K", "2", "--replicates", "2", "--max-iterations", "10",
+                       "--threads", threads, "--seed", "2", "--out", str(out)) == 0
+            lines = (out / "bench.csv").read_text().splitlines()
+            assert lines[0].endswith(",seconds")
+            tables.append([line.rsplit(",", 1)[0] for line in lines])
+        assert len(tables[0]) == 1 + 2 * 2
+        assert tables[0] == tables[1]
+        # The workers' BLAS thread share is set for the pool only.
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+        assert "MKL_NUM_THREADS" not in os.environ
 
     def test_bad_penalty_strength_is_usage_error(self, tmp_path, capsys):
         code = run("bench", "--scenarios", "hybrid", "--algorithms", "ted",

@@ -3,7 +3,9 @@
 A :class:`Dataset` is checked when it is built, so a broken matrix or row
 raises there, naming the first offending noise matrix.  A prior whose
 dimension is not the data's raises ``DimensionMismatchError`` from every
-function that scores data against it.
+function that scores data against it.  Valid inputs at the edges (one
+observation, one dimension, one component, data at 1e-100 or 1e100) fit
+with a monotone trace and summarize to finite numbers.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import random_psd
 from ebmnm import mixture, posterior, sim, solvers
-from ebmnm.core import Dataset, MixturePrior
+from ebmnm.core import Dataset, FitConfig, MixturePrior, Penalty
 from ebmnm.exceptions import (
     DimensionMismatchError,
     EmptyDataError,
@@ -107,3 +109,35 @@ def test_prior_of_another_dimension_is_rejected_by_every_scorer(n, r, shared, of
     for call in calls:
         with pytest.raises(DimensionMismatchError, match=f"prior dimension {other} "):
             call()
+
+
+# (n, R, K, algorithm, penalty, data magnitude s); the noise is s^2 times a PSD matrix.
+EDGE_FITS = [
+    (1, 3, 3, "ted", Penalty.none(), 1.0),
+    (1, 3, 3, "ed", Penalty.none(), 1.0),
+    (50, 1, 3, "ted", Penalty.none(), 1.0),
+    (50, 1, 3, "ed", Penalty.none(), 1.0),
+    (50, 3, 1, "ted", Penalty.none(), 1.0),
+    (50, 3, 1, "ed", Penalty.none(), 1.0),
+    (60, 3, 3, "ted", Penalty.inverse_wishart(3.0), 1e-100),
+    (60, 3, 3, "ted", Penalty.inverse_wishart(3.0), 1e100),
+]
+
+
+@pytest.mark.parametrize("n, r, k, algorithm, penalty, s", EDGE_FITS)
+def test_edge_input_fits_are_monotone_and_summarize_finitely(n, r, k, algorithm, penalty, s):
+    rng = np.random.default_rng(n + 10 * r + 100 * k)
+    noise = random_psd(rng, r)
+    theta = rng.multivariate_normal(np.zeros(r), random_psd(rng, r, 3.0), size=n)
+    x = theta + rng.multivariate_normal(np.zeros(r), noise, size=n)
+    dataset = Dataset(s * x, s * s * noise)
+    init = mixture.random_init(r, k, seed=5)
+    init = MixturePrior(init.weights, s * s * init.covariances, init.scales, init.constraints)
+    result = mixture.fit(dataset, init, FitConfig(algorithm, penalty, max_iterations=30,
+                                                  tolerance=1e-12))
+    objective = result.trace.objective
+    assert np.all(np.isfinite(objective))
+    assert np.diff(objective).min() >= -1e-12 * np.abs(objective).max()
+    summary = posterior.summarize(dataset, result.prior)
+    for values in (summary.mean / s, summary.sd / s, summary.lfsr):
+        assert values.shape == (n, r) and np.all(np.isfinite(values))

@@ -370,3 +370,50 @@ class TestNoiseFarBelowPrior:
         objective = per_obs.objective
         assert np.diff(objective).min() >= -1e-12 * np.abs(objective).max()
         np.testing.assert_allclose(objective[-1], shared.objective[-1], rtol=1e-12)
+
+
+@st.composite
+def exact_scaled_cases(draw):
+    """A shared-noise problem whose ``scaled`` base has one distinct nonzero whitened value.
+
+    The base is rank 1 or proportional to the noise.  The noise, the base and
+    the signal each take a magnitude between 1e-50 and 1e50 of their own.
+    """
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, 8))
+    proportional = draw(st.booleans())
+    noise_scale, base_scale, signal_scale = (
+        10.0 ** draw(st.sampled_from([-50, -20, 0, 20, 50])) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = noise_scale * _psd(rng, r, "pd")
+    base = base_scale * (noise / noise_scale if proportional else _psd(rng, r, "rank1"))
+    signal = rng.multivariate_normal(np.zeros(r), rng.uniform(0.0, 4.0) * base / base_scale, n)
+    x = np.sqrt(signal_scale) * signal + np.sqrt(noise_scale) * rng.standard_normal((n, r))
+    w = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.2)
+    w[0] = max(w[0], 0.5)  # the weights must not all vanish
+    current = 10.0 ** rng.uniform(-3.0, 3.0) * signal_scale / base_scale
+    return WeightedProblem(Dataset(x, noise), w), base, current
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_scaled_cases())
+def test_exact_scaled_step_beats_the_search_and_current(case):
+    """At or above ``current``, and the search within 1e3 eps of the objective's terms.
+
+    ``phi(c B) = const - 1/2 sum_i [W log(1 + c b_i) + a_i / (1 + c b_i)]`` has
+    nonnegative terms besides ``const``, so ``|const| + |phi - const|`` is
+    their magnitude, however far the signal lies above the noise.
+    """
+    problem, base, current = case
+    dataset = problem.dataset
+    assert solvers.single_value_base(dataset, base) is not None
+    f = solvers.scaled_objective(problem, base)
+    search = solvers._scaled_search(problem, base, f)
+    const = -0.5 * problem.total_weight * (dataset.dim * np.log(2.0 * np.pi)
+                                           + np.linalg.slogdet(dataset.noise)[1])
+    size = abs(const) + abs(f(search) - const)
+    for start in (0.0, current):
+        c = scaled_update(problem, base, start)
+        assert c >= 0.0
+        assert f(c) >= f(start)
+        assert f(c) >= f(search) - 1e3 * np.finfo(float).eps * size

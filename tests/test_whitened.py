@@ -1,10 +1,11 @@
 """The shared-noise branch of the components kernel against the per-observation one.
 
 ``solvers.Components`` treats both kinds of noise with one formula and
-differs in two places: a shared noise ``V`` builds its whiteners from the
-eigenbasis of each whitened covariance and gives the ``ed`` step its data
-through the whitened Gram, while per-observation noise factors each
-``U_k + V_j`` and forms the posterior means.  Log-densities, the ``ed`` step
+differs in three places: a shared noise ``V`` builds its whiteners from the
+eigenbasis of each whitened covariance, takes every log-density in one GEMM
+and gives the ``ed`` step its data through the whitened Gram, while
+per-observation noise factors each ``U_k + V_j``, takes one component at a
+time and forms the posterior means.  Log-densities, the ``ed`` step
 and posterior summaries of the shared branch are pinned here to
 ``solvers.prepare_components`` applied to a copy of the dataset whose noise
 repeats ``V`` once per observation, and at n = 1 to a stack of one matrix.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import random_psd
 from ebmnm import ComponentConstraint, Dataset, FitConfig, MixturePrior, Penalty, linalg
-from ebmnm import mixture, posterior, solvers
+from ebmnm import mixture, posterior, sim, solvers
 from ebmnm.exceptions import NumericalFailureError, UnsupportedNoiseError
 
 # Relative tolerance fixed from the dtype: an eigendecomposition of the
@@ -149,6 +150,75 @@ def test_spectrum_below_minus_one_raises():
     dataset = Dataset(np.zeros((3, 2)), np.eye(2))
     with pytest.raises(NumericalFailureError):
         solvers.component_loglik(dataset, np.diag([0.0, -2.0]))
+
+
+def _per_component_log_densities(components):
+    """The log-densities one component at a time, as ``linalg.mvn_logpdf_zero_mean`` gives them."""
+    x = components.dataset.x
+    return np.column_stack([linalg.mvn_logpdf_zero_mean(x, w, d)
+                            for w, d in zip(components.whiteners, components.logdets)])
+
+
+@pytest.mark.parametrize("n, r, block_bytes", [(2000, 5, solvers.LOG_DENSITY_BLOCK_BYTES),
+                                               (45, 5, 8 * 7 * 10 * 5)])
+def test_one_gemm_log_densities_are_the_per_component_ones_at_r5(monkeypatch, n, r,
+                                                                   block_bytes):
+    """Bit-identical at R=5, in one row block and in blocks of 7 rows."""
+    monkeypatch.setattr(solvers, "LOG_DENSITY_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(11)
+    dataset = Dataset(2.0 * rng.standard_normal((n, r)), random_psd(rng, r))
+    covs = np.stack([_psd(rng, r, kind) for kind in ["pd"] * 7 + ["rank1", "zero", "pd"]])
+    components = solvers.prepare_components(dataset, covs)
+    np.testing.assert_array_equal(components.log_densities(),
+                                  _per_component_log_densities(components))
+
+
+def test_one_gemm_log_densities_match_the_per_component_ones_at_r50():
+    """n=5000, R=50, K=10 runs in 2 MB row blocks.
+
+    Tolerance fixed before the first run: 1e3 eps times each entry's magnitude
+    ``R log(2 pi) + |log det(U_k + V)| + x^T (U_k + V)^{-1} x``.
+    """
+    rng = np.random.default_rng(12)
+    n, r = 5000, 50
+    dataset = Dataset(2.0 * rng.standard_normal((n, r)), random_psd(rng, r))
+    covs = np.stack([_psd(rng, r, "pd") for _ in range(10)])
+    components = solvers.prepare_components(dataset, covs)
+    assert n * 10 * r * 8 > solvers.LOG_DENSITY_BLOCK_BYTES
+    got, expected = components.log_densities(), _per_component_log_densities(components)
+    logdet = components.logdets[:, 0]
+    quad = -2.0 * expected - r * np.log(2.0 * np.pi) - logdet
+    size = r * np.log(2.0 * np.pi) + np.abs(logdet) + quad
+    assert np.all(np.abs(got - expected) <= 1e3 * np.finfo(float).eps * size)
+
+
+@pytest.mark.parametrize("scale", [1e16, 1e18, 1e20])
+def test_rank1_covariance_far_above_the_noise_is_accepted(scale):
+    """Rounding in the whitened spectrum of a rank-1 ``U`` is clamped at 0, never raised.
+
+    The top whitened eigenvalue stays the exact ``scale |L^{-1} u|^2``.
+    """
+    rng = np.random.default_rng(13)
+    r = 4
+    dataset = Dataset(rng.standard_normal((30, r)), random_psd(rng, r))
+    u = rng.standard_normal(r)
+    components = solvers.prepare_components(dataset, scale * np.outer(u, u)[None])
+    assert np.all(components.values >= 0.0)
+    wu = dataset.noise_whitener @ u
+    np.testing.assert_allclose(components.values[0, -1], scale * (wu @ wu), rtol=1e-12)
+    assert np.all(np.isfinite(components.log_densities()))
+
+
+def test_ted_fit_with_a_scaled_component_far_below_its_base():
+    """Data at 1e-20 and noise 1e-40 I, with a ``scaled(ones)`` start at the base's unit scale."""
+    r = 4
+    train, _ = sim.generate(sim.Scenario("hybrid", 200, r, 1, 0))
+    dataset = Dataset(1e-20 * train.x, 1e-40 * np.eye(r))
+    constraints = (ComponentConstraint.free(),) * 2 + (ComponentConstraint.scaled(np.ones((r, r))),)
+    init = mixture.random_init(r, 3, 0, constraints)
+    objective = mixture.fit(dataset, init, FitConfig("ted", max_iterations=20)).trace.objective
+    assert np.all(np.isfinite(objective))
+    assert np.diff(objective).min() >= -1e-12 * np.abs(objective).max()
 
 
 class TestNoiseFactoredOnce:
