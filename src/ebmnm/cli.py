@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
+import ctypes
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -246,23 +245,51 @@ _BENCH_COLUMNS = ("scenario", "replicate", "n", "R", "K", "algorithm", "penalty"
                   "fsr", "significant", "seconds")
 
 
-# The variables a BLAS library reads its thread count from when it loads.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The thread-count functions of the OpenBLAS builds numpy ships with.
+_OPENBLAS_THREAD_SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",
+                                  f"{prefix}_set_num_threads{suffix}")
+                                 for prefix in ("scipy_openblas", "openblas")
+                                 for suffix in ("64_", ""))
 
 
-@contextlib.contextmanager
-def _environment(values: dict):
-    """Set environment variables for the ``with`` block, then restore them."""
-    saved = {name: os.environ.get(name) for name in values}
-    os.environ.update(values)
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or ``None``.
+
+    The library is found in the process's memory map, so on Linux only;
+    elsewhere, or with another BLAS, the count is left alone.
+    """
     try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get, put in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                getter = getattr(lib, get)
+                getter.restype = ctypes.c_int
+                return getter, getattr(lib, put)
+    return None
+
+
+def _limit_blas_threads(share: int) -> None:
+    """Pool initializer: at most ``share`` BLAS threads in this worker."""
+    blas = _openblas_threads()
+    if blas is not None:
+        get, put = blas
+        put(min(get(), share))
+
+
+def _bench_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """A pool of ``workers`` processes that split the cores among their BLAS pools.
+
+    Each worker runs ``max(1, cores // workers)`` BLAS threads, or fewer
+    when it starts with fewer (say, from ``OPENBLAS_NUM_THREADS``).
+    """
+    share = max(1, (os.cpu_count() or 1) // workers)
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_limit_blas_threads, initargs=(share,))
 
 
 def _bench_cell(task: dict) -> dict:
@@ -334,15 +361,9 @@ def cmd_bench(args) -> int:
         raise _UsageError("the bench grid has no cells: name at least one scenario and one "
                           "algorithm with a penalty it accepts")
     out = _out_dir(args)
-    cores = os.cpu_count() or 1
-    workers = min(args.threads or cores, len(tasks))
+    workers = min(args.threads or os.cpu_count() or 1, len(tasks))
     if workers > 1:
-        # Spawned workers load numpy afresh, so each reads its share of the
-        # cores for its BLAS pool from the environment it starts with.
-        share = str(max(1, cores // workers))
-        with _environment(dict.fromkeys(_BLAS_THREAD_VARIABLES, share)), \
-                concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _bench_pool(workers) as pool:
             rows = list(pool.map(_bench_cell, tasks))
     else:
         rows = [_bench_cell(t) for t in tasks]

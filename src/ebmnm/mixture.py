@@ -213,8 +213,9 @@ def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
     """
     constraint = state.constraints[k]
     if constraint.kind == "scaled":
+        # No exact step applies (see _batched), so search.
         base = constraint.base
-        state.covariances[k] = solvers.scaled_update(problem, base, _multiple(state, k)) * base
+        state.covariances[k] = solvers.scaled_search(problem, base, _multiple(state, k)) * base
     elif constraint.kind == "rank1":
         u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
         state.covariances[k] = np.outer(u, u)

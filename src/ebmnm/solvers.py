@@ -13,7 +13,8 @@ polynomial, with no numerical search.  ``ed_update`` and ``fa_update`` are
 single EM steps: they never decrease the objective but do not maximize it.
 ``scaled_update`` handles the one-dimensional problem ``U = c * base``:
 exactly under shared noise when the whitened base has one distinct nonzero
-eigenvalue (:func:`scaled_solution`), by a 1-d search otherwise.
+eigenvalue (:func:`scaled_solution`), by a 1-d search
+(:func:`scaled_search`) otherwise.
 
 With a shared noise ``V = L L^T`` the data enter ``ted``, ``ed`` and the
 exact ``scaled`` step only through :attr:`WeightedProblem.whitened_gram`,
@@ -68,7 +69,7 @@ from .exceptions import (
     UnsupportedPenaltyError,
 )
 
-# Iteration cap of the bounded 1-d search in ``scaled_update``.
+# Iteration cap of the bounded 1-d search in ``scaled_search``.
 SCALAR_MAXITER = 200
 # Relative floor applied to eigenvalues before penalty scale updates.
 SPECTRUM_FLOOR_RTOL = 1e-8
@@ -604,60 +605,66 @@ def single_value_base(dataset: Dataset, base: np.ndarray) -> tuple[float, int, n
     return float(b[nonzero].mean()), int(nonzero.sum()), q @ q.T
 
 
-def scaled_solution(problem: WeightedProblem, bases, current, cols=slice(None)) -> np.ndarray:
+def scaled_solution(problem: WeightedProblem, bases, current=None,
+                    cols=slice(None)) -> np.ndarray:
     """Exact ``scaled`` multiples of the columns ``cols`` under shared noise, ``(K',)``.
 
-    ``bases`` holds one :func:`single_value_base` ``(b, r, P)`` per column
-    and ``current`` one multiple each.  Over ``c >= 0`` the objective
+    ``bases`` holds one :func:`single_value_base` ``(b, r, P)`` per column.
+    Over ``c >= 0`` the objective
     ``phi(c B) = const - 1/2 [r W log(1 + c b) + A / (1 + c b)]``, with
     ``A = tr(P S)`` from the problem's whitened Gram ``S``, has the one
-    maximizer ``c = max((A / (r W) - 1) / b, 0)``.  A column keeps its
-    ``current`` multiple when that scores higher after rounding.
+    maximizer ``c = max((A / (r W) - 1) / b, 0)``.  Given ``current`` (one
+    multiple per column), a column keeps it when it scores higher after
+    rounding.
     """
     totals, _ = problem._columns(cols)
     b, r, projectors = (np.array(v) for v in zip(*bases))
     a = np.einsum("kij,kij->k", projectors, problem._grams[cols])
     rw = r * totals
+    c = np.maximum((a / rw - 1.0) / b, 0.0)
+    if current is None:
+        return c
 
     def loss(c):
         cb = c * b
         return rw * np.log1p(cb) + a / (1.0 + cb)
 
-    c = np.maximum((a / rw - 1.0) / b, 0.0)
     current = np.asarray(current, dtype=float)
     return np.where(loss(current) < loss(c), current, c)
 
 
-def _scaled_search(problem: WeightedProblem, base: np.ndarray, f) -> float:
-    """The best ``c >= 0`` that a grid search and bounded Brent find for the objective ``f``.
+def scaled_search(problem: WeightedProblem, base: np.ndarray, current: float = 0.0) -> float:
+    """The ``scaled`` step by search: the best ``c >= 0`` a grid and bounded Brent find.
 
-    Scans a geometric grid (expanded until the objective stops growing at
-    the upper edge) in one call of ``f`` and polishes the best grid point's
-    bracket with bounded Brent.  Both scale with the data's weighted second
-    moment; zero weighted data give 0.
+    Scans a geometric grid (expanded until the :func:`scaled_objective`
+    stops growing at the upper edge) in one call and polishes the best grid
+    point's bracket with bounded Brent.  Both scale with the data's weighted
+    second moment; zero weighted data give 0.  Whichever of the result and
+    ``current`` scores higher is returned.
     """
+    f = scaled_objective(problem, base)
     x = problem.dataset.x
     s_w = float(np.sum((x * problem.weights[:, None]) * x)) / problem.total_weight
-    if s_w == 0.0:
-        return 0.0
-    guess = s_w / np.trace(base)
-    lo_c, hi_c = 1e-6 * guess, 1e3 * guess
-    for _ in range(6):
-        grid = np.concatenate([[0.0], np.geomspace(lo_c, hi_c, 80)])
-        values = f(grid)
-        if np.argmax(values) < len(grid) - 1:
-            break
-        hi_c *= 1e3
-    i = int(np.argmax(values))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    best = float(grid[i])
-    if hi > lo:
-        res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-9 * guess,
-                                       "maxiter": SCALAR_MAXITER})
-        if np.isfinite(res.fun) and -res.fun > values[i]:
-            best = float(res.x)
-    return best
+    best = 0.0
+    if s_w > 0.0:
+        guess = s_w / np.trace(base)
+        lo_c, hi_c = 1e-6 * guess, 1e3 * guess
+        for _ in range(6):
+            grid = np.concatenate([[0.0], np.geomspace(lo_c, hi_c, 80)])
+            values = f(grid)
+            if np.argmax(values) < len(grid) - 1:
+                break
+            hi_c *= 1e3
+        i = int(np.argmax(values))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        best = float(grid[i])
+        if hi > lo:
+            res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-9 * guess,
+                                           "maxiter": SCALAR_MAXITER})
+            if np.isfinite(res.fun) and -res.fun > values[i]:
+                best = float(res.x)
+    return max(max(best, float(current), key=f), 0.0)
 
 
 def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0.0) -> float:
@@ -665,17 +672,13 @@ def scaled_update(problem: WeightedProblem, base: np.ndarray, current: float = 0
 
     Under shared noise a base with one distinct nonzero whitened eigenvalue
     (:func:`single_value_base`) takes the exact :func:`scaled_solution`;
-    any other base, and per-observation noise, take a grid search polished
-    by bounded Brent.  Whichever of the result and ``current`` scores higher
-    on the :func:`scaled_objective` is returned.
+    any other base, and per-observation noise, take :func:`scaled_search`.
     """
-    f = scaled_objective(problem, base)
     single = single_value_base(problem.dataset, base)
     if single is None:
-        best = _scaled_search(problem, base, f)
-    else:
-        best = float(scaled_solution(problem, [single], [current])[0])
-    return max(max(best, float(current), key=f), 0.0)
+        return scaled_search(problem, base, current)
+    f = scaled_objective(problem, base)
+    return max(max(float(scaled_solution(problem, [single])[0]), float(current), key=f), 0.0)
 
 
 def scale_factor_update(cov: np.ndarray, penalty: Penalty) -> float:

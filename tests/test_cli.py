@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ebmnm import core
+from ebmnm import cli, core
 from ebmnm.cli import main
 from ebmnm.core import MixturePrior, load_matrix_csv, load_prior, save_prior
 
@@ -249,6 +249,10 @@ class TestEvaluate:
                    "--out", str(tmp_path / "bad")) == 3
 
 
+def _worker_blas_threads(_):
+    return cli._openblas_threads()[0]()
+
+
 class TestBench:
     def test_small_grid(self, tmp_path):
         out = tmp_path / "bench"
@@ -275,10 +279,8 @@ class TestBench:
                          ("ed", "none"), ("ed", "iw"), ("fa", "none")]
 
 
-    def test_results_do_not_depend_on_threads(self, tmp_path, monkeypatch):
-        """Two spawned workers write the bench.csv that one process writes, timings aside."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    def test_results_do_not_depend_on_threads(self, tmp_path):
+        """Two pool workers write the bench.csv that one process writes, timings aside."""
         tables = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
@@ -291,9 +293,26 @@ class TestBench:
             tables.append([line.rsplit(",", 1)[0] for line in lines])
         assert len(tables[0]) == 1 + 2 * 2
         assert tables[0] == tables[1]
-        # The workers' BLAS thread share is set for the pool only.
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
-        assert "MKL_NUM_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("own, cores, workers, expected",
+                             [(8, 8, 2, 4), (1, 8, 2, 1), (3, 8, 2, 3), (8, 2, 3, 1)])
+    def test_workers_split_the_blas_threads(self, monkeypatch, own, cores, workers, expected):
+        """A worker runs cores // workers BLAS threads, capped by the count it starts with."""
+        blas = cli._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS found in the memory map")
+        get, put = blas
+        before = get()
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        try:
+            put(own)
+            assert get() == own
+            with cli._bench_pool(workers) as pool:
+                seen = set(pool.map(_worker_blas_threads, range(2 * workers)))
+            assert seen == {expected}
+            assert get() == own
+        finally:
+            put(before)
 
     def test_bad_penalty_strength_is_usage_error(self, tmp_path, capsys):
         code = run("bench", "--scenarios", "hybrid", "--algorithms", "ted",

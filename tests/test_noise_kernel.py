@@ -408,7 +408,7 @@ def test_exact_scaled_step_beats_the_search_and_current(case):
     dataset = problem.dataset
     assert solvers.single_value_base(dataset, base) is not None
     f = solvers.scaled_objective(problem, base)
-    search = solvers._scaled_search(problem, base, f)
+    search = solvers.scaled_search(problem, base)
     const = -0.5 * problem.total_weight * (dataset.dim * np.log(2.0 * np.pi)
                                            + np.linalg.slogdet(dataset.noise)[1])
     size = abs(const) + abs(f(search) - const)
