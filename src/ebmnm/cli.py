@@ -252,32 +252,32 @@ _OPENBLAS_THREAD_SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",
                                  for suffix in ("64_", ""))
 
 
-def _openblas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or ``None``.
+def _openblas_threads() -> list:
+    """``(get, set)`` for the thread count of each OpenBLAS loaded (numpy's, scipy's).
 
-    The library is found in the process's memory map, so on Linux only;
-    elsewhere, or with another BLAS, the count is left alone.
+    The libraries are found in the process's memory map, so on Linux only;
+    elsewhere, or with another BLAS, the list is empty.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return None
+        return []
+    functions = []
     for path in paths:
         lib = ctypes.CDLL(path)
         for get, put in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get) and hasattr(lib, put):
                 getter = getattr(lib, get)
                 getter.restype = ctypes.c_int
-                return getter, getattr(lib, put)
-    return None
+                functions.append((getter, getattr(lib, put)))
+                break
+    return functions
 
 
 def _limit_blas_threads(share: int) -> None:
-    """Pool initializer: at most ``share`` BLAS threads in this worker."""
-    blas = _openblas_threads()
-    if blas is not None:
-        get, put = blas
+    """Pool initializer: at most ``share`` threads in each of this worker's OpenBLAS."""
+    for get, put in _openblas_threads():
         put(min(get(), share))
 
 

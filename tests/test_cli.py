@@ -250,7 +250,7 @@ class TestEvaluate:
 
 
 def _worker_blas_threads(_):
-    return cli._openblas_threads()[0]()
+    return tuple(get() for get, _ in cli._openblas_threads())
 
 
 class TestBench:
@@ -299,20 +299,20 @@ class TestBench:
     def test_workers_split_the_blas_threads(self, monkeypatch, own, cores, workers, expected):
         """A worker runs cores // workers BLAS threads, capped by the count it starts with."""
         blas = cli._openblas_threads()
-        if blas is None:
+        if not blas:
             pytest.skip("numpy's BLAS is not an OpenBLAS found in the memory map")
-        get, put = blas
-        before = get()
+        before = [get() for get, _ in blas]
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         try:
-            put(own)
-            assert get() == own
+            for _, put in blas:
+                put(own)
             with cli._bench_pool(workers) as pool:
                 seen = set(pool.map(_worker_blas_threads, range(2 * workers)))
-            assert seen == {expected}
-            assert get() == own
+            assert seen == {(expected,) * len(blas)}
+            assert [get() for get, _ in blas] == [own] * len(blas)
         finally:
-            put(before)
+            for (_, put), count in zip(blas, before):
+                put(count)
 
     def test_bad_penalty_strength_is_usage_error(self, tmp_path, capsys):
         code = run("bench", "--scenarios", "hybrid", "--algorithms", "ted",
@@ -321,7 +321,6 @@ class TestBench:
                    "--threads", "1", "--out", str(tmp_path / "bad"))
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
 
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_override(self, tmp_path):
