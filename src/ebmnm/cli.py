@@ -245,7 +245,7 @@ _BENCH_COLUMNS = ("scenario", "replicate", "n", "R", "K", "algorithm", "penalty"
                   "fsr", "significant", "seconds")
 
 
-# The thread-count functions of the OpenBLAS builds numpy ships with.
+# The thread-count functions of the OpenBLAS builds numpy and scipy ship with.
 _OPENBLAS_THREAD_SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",
                                   f"{prefix}_set_num_threads{suffix}")
                                  for prefix in ("scipy_openblas", "openblas")
