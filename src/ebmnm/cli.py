@@ -374,13 +374,12 @@ def cmd_bench(args) -> int:
             fh.write(",".join(_format_cell(row[c]) for c in _BENCH_COLUMNS) + "\n")
     outputs = [table_path]
     outputs.append(_write_manifest(out, "bench", args, [], outputs, started))
-    if rows:
-        widths = {c: max(len(c), *(len(_format_cell(r[c], table=True)) for r in rows))
-                  for c in _BENCH_COLUMNS}
-        print("  ".join(c.ljust(widths[c]) for c in _BENCH_COLUMNS))
-        for row in rows:
-            print("  ".join(_format_cell(row[c], table=True).ljust(widths[c])
-                            for c in _BENCH_COLUMNS))
+    widths = {c: max(len(c), *(len(_format_cell(r[c], table=True)) for r in rows))
+              for c in _BENCH_COLUMNS}
+    print("  ".join(c.ljust(widths[c]) for c in _BENCH_COLUMNS))
+    for row in rows:
+        print("  ".join(_format_cell(row[c], table=True).ljust(widths[c])
+                        for c in _BENCH_COLUMNS))
     print(f"bench: wrote {len(rows)} rows to {table_path}")
     return 0
 

@@ -16,17 +16,19 @@ whitened covariances, whose spectra also give ``ted`` its penalty and scale
 updates in the noise-whitened metric.  ``ed`` with "iw" measures its penalty
 in the data metric through one stacked ``eigvalsh``.
 One log-sum-exp gives both the objective and the next responsibilities.
-With shared noise every live ``ted``, rank-1 ``ted`` and ``ed`` component
-shares one weighted problem, one column of responsibilities each, and is
-updated in one stacked solve (:func:`ebmnm.solvers.truncated_solution`, the
-kernel's ``ed_update``); the penalty values and scale updates read the
-``(K, R)`` spectra in one call each.  A ``scaled`` component whose whitened
-base has one distinct nonzero eigenvalue joins that problem and takes the
-exact multiple (:func:`ebmnm.solvers.scaled_solution`); its whitened base
-is decomposed once per fit.  ``fa`` components, the other ``scaled`` ones
-and every component under per-observation noise get one problem each.
-A ``scaled`` update keeps the current multiple unless the new one scores
-higher.
+Every live component, under either kind of noise, shares one weighted
+problem per iteration, one column of responsibilities each, and each kind
+of update runs once over its columns (:func:`_update`): one stacked
+truncation for ``ted`` and rank-1 ``ted``
+(:func:`ebmnm.solvers.truncated_solution`), one stacked ``ed`` step (the
+kernel's ``ed_update``) and, for a ``scaled`` component whose whitened base
+has one distinct nonzero eigenvalue under shared noise, one vector of exact
+multiples (:func:`ebmnm.solvers.scaled_solution`); its whitened base is
+decomposed once per fit.  The penalty values and scale updates read the
+``(K, R)`` spectra in one call each.  Two kinds of column run alone, each
+on its own unpenalized problem: rank-1 components under ``fa`` and the
+other ``scaled`` ones, which search.  A ``scaled`` update keeps the current
+multiple unless the new one scores higher.
 """
 
 from __future__ import annotations
@@ -186,55 +188,32 @@ def _penalty_total(state: _State, penalty: Penalty, spectra: np.ndarray | None) 
     return sum(solvers.penalty_from_eigenvalues(penalty, spectra, state.scales)[free].tolist())
 
 
-def _batched(state: _State, k: int, rank1_algorithm: str) -> bool:
-    """Whether component ``k`` takes ``ted``, rank-1 ``ted``, ``ed`` or the exact ``scaled`` step.
-
-    That is every free component, every rank-1 one that ``fa`` does not fit
-    and every scaled one with a :func:`ebmnm.solvers.single_value_base`.
-    """
-    kind = state.constraints[k].kind
-    if kind == "scaled":
-        return state.bases[k] is not None
-    return kind == "free" or (kind == "rank1" and rank1_algorithm != "fa")
-
-
 def _multiple(state: _State, k: int) -> float:
     """The multiple ``c`` of scaled component ``k``'s base that its covariance holds."""
     base = state.constraints[k].base
     return float(np.sum(state.covariances[k] * base)) / float(np.sum(base * base))
 
 
-def _update_component(state: _State, k: int, problem: solvers.WeightedProblem,
-                      components) -> None:
-    """Replace covariance ``k`` of a ``scaled``, ``fa`` or per-observation ``ed`` component.
-
-    ``components`` holds the current covariances.  ``FitConfig.validate_for``
-    leaves no other kind of update outside :func:`_update_shared`.
-    """
-    constraint = state.constraints[k]
-    if constraint.kind == "scaled":
-        # No exact step applies (see _batched), so search.
-        base = constraint.base
-        state.covariances[k] = solvers.scaled_search(problem, base, _multiple(state, k)) * base
-    elif constraint.kind == "rank1":
-        u = solvers.fa_update(problem, _rank1_vector(state.covariances[k]))
-        state.covariances[k] = np.outer(u, u)
-    else:
-        state.covariances[k] = components.ed_update(k, problem)
-
-
-def _update_shared(state: _State, ks: np.ndarray, problem: solvers.WeightedProblem,
-                   free_algorithm: str, components) -> None:
+def _update(state: _State, ks: np.ndarray, problem: solvers.WeightedProblem,
+            free_algorithm: str, rank1_algorithm: str, components) -> None:
     """Replace the covariances ``ks`` from one problem with a weight column each.
 
-    Rank-1 components and, under ``ted``, free ones take one stacked
-    truncation; free ones under ``ed`` take one stacked ``ed`` step; scaled
-    ones take the exact multiple of their base.
+    ``components`` holds the current covariances.  Rank-1 components and,
+    under ``ted``, free ones take one stacked truncation; free ones under
+    ``ed`` take one stacked ``ed`` step, for either kind of noise; scaled
+    ones with a :func:`ebmnm.solvers.single_value_base` take the exact
+    multiple of their base.  Two kinds of column run alone, each on its own
+    unpenalized problem: rank-1 components under ``fa`` and the other scaled
+    ones, which search for their multiple.  ``FitConfig.validate_for`` leaves
+    ``ted`` to shared noise, where every truncation and exact multiple runs.
     """
     kinds = np.array([state.constraints[k].kind for k in ks])
     scaled = kinds == "scaled"
+    search = scaled & np.array([state.bases.get(k) is None for k in ks])
+    fa = (kinds == "rank1") & (rank1_algorithm == "fa")
     ed = (kinds == "free") & (free_algorithm != "ted")
-    ted = ~scaled & ~ed
+    scaled &= ~search
+    ted = ~(scaled | search | fa | ed)
     new = np.empty((len(ks),) + state.covariances[0].shape)
     if ted.any():
         new[ted] = solvers.truncated_solution(problem, (kinds == "rank1")[ted], ted)
@@ -244,6 +223,15 @@ def _update_shared(state: _State, ks: np.ndarray, problem: solvers.WeightedProbl
         c = solvers.scaled_solution(problem, [state.bases[k] for k in ks[scaled]],
                                     [_multiple(state, k) for k in ks[scaled]], scaled)
         new[scaled] = c[:, None, None] * np.stack([state.constraints[k].base for k in ks[scaled]])
+    for i in np.flatnonzero(search | fa):
+        k = ks[i]
+        alone = solvers.WeightedProblem(problem.dataset, problem.weights[:, i])
+        if fa[i]:
+            u = solvers.fa_update(alone, _rank1_vector(state.covariances[k]))
+            new[i] = np.outer(u, u)
+        else:
+            base = state.constraints[k].base
+            new[i] = solvers.scaled_search(alone, base, _multiple(state, k)) * base
     for k, u in zip(ks, new):
         state.covariances[k] = u
 
@@ -282,18 +270,8 @@ def _em_phase(dataset: Dataset, state: _State, free_algorithm: str, rank1_algori
         # their covariance and scale untouched.
         live = np.flatnonzero((state.weights >= DEAD_COMPONENT_WEIGHT)
                               & (resp.sum(axis=0) >= DEAD_COMPONENT_WEIGHT))
-        # With shared noise the ted, rank-1 ted, ed and exact scaled updates share one problem.
-        batched = np.array([dataset.shared_noise and _batched(state, k, rank1_algorithm)
-                            for k in live], dtype=bool)
-        if batched.any():
-            ks = live[batched]
-            _update_shared(state, ks, solvers.WeightedProblem(
-                dataset, resp[:, ks], state.scales[ks], penalty), free_algorithm, components)
-        for k in live[~batched]:
-            free = state.constraints[k].kind == "free"
-            problem = solvers.WeightedProblem(dataset, resp[:, k], state.scales[k],
-                                              penalty if free else Penalty.none())
-            _update_component(state, k, problem, components)
+        problem = solvers.WeightedProblem(dataset, resp[:, live], state.scales[live], penalty)
+        _update(state, live, problem, free_algorithm, rank1_algorithm, components)
         rescaled = ([k for k in live if state.constraints[k].kind == "free"]
                     if penalty.active else [])
         iteration += 1

@@ -151,11 +151,12 @@ class Components:
     ``L^{-1} U_k L^{-T} = Q_k diag(e_k) Q_k^T``, giving
     ``W_k = diag(1 + e_k)^{-1/2} Q_k^T L^{-1}``; the spectra stay in
     :attr:`values` (``(K, R)``, ascending) for the ``ted`` penalty.  Rounding
-    can leave a zero of a PSD ``U_k`` slightly negative, below -1 when
-    ``U_k`` lies far above the noise, so negative ``e_k`` within
-    ``linalg.PSD_RTOL`` of the largest are set to 0; a more negative one
-    means ``U_k`` is indefinite, and one at or below -1 raises
-    ``NumericalFailureError``.
+    can leave a zero of a PSD ``U_k`` slightly positive or negative, far
+    from 0 when ``U_k`` lies far above the noise, so positive ``e_k`` at or
+    below ``R eps`` times the largest are set to 0, as in
+    :func:`_whitened_base`, and so are negative ones within
+    ``linalg.PSD_RTOL`` of it; a more negative one means ``U_k`` is
+    indefinite, and one at or below -1 raises ``NumericalFailureError``.
     Per-observation noise factors ``U_k + V_j = L_kj L_kj^T`` into the exact
     triangular ``W_kj = L_kj^{-1}``, and :attr:`values` is ``None``; an
     ``eigh`` there is about 2.5x slower (14 against 5.7 ms for K=10 stacks at
@@ -172,9 +173,12 @@ class Components:
                 values, vectors = np.linalg.eigh(linalg.sym(whiten @ covariances @ whiten.T))
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-            # A negative eigenvalue within rounding of the largest one (linalg.PSD_RTOL)
-            # is a zero of a PSD U_k; anything more negative is an indefinite U_k.
-            rounding = (values < 0) & (values >= -linalg.PSD_RTOL * values[:, -1:])
+            # An eigenvalue within rounding of the largest one is a zero of a PSD U_k:
+            # a positive one at or below R eps times it, or a negative one within
+            # linalg.PSD_RTOL of it; anything more negative is an indefinite U_k.
+            top = values[:, -1:]
+            rounding = ((values >= -linalg.PSD_RTOL * top)
+                        & (values <= len(whiten) * np.finfo(float).eps * top))
             self.values = np.where(rounding, 0.0, values)
             if not np.all(1.0 + self.values > 0):
                 raise NumericalFailureError(
@@ -319,11 +323,16 @@ def floor_eigenvalues(e: np.ndarray) -> np.ndarray:
     """Raise eigenvalues to at least ``SPECTRUM_FLOOR_RTOL * (spectral radius + 1)``.
 
     The penalties diverge at zero eigenvalues, so their scale updates need a
-    strictly positive spectrum.  Each spectrum of a ``(K, R)`` stack gets its own floor.
+    strictly positive spectrum.  A spectrum that already is one keeps its
+    values, so the scale update stays the exact minimizer of a finite
+    penalty however widely the eigenvalues spread (a noise of condition
+    number 1e12 spreads the whitened ones that far).  Each spectrum of a
+    ``(K, R)`` stack is checked and floored on its own.
     """
     e = np.asarray(e, dtype=float)
-    return np.maximum(e, SPECTRUM_FLOOR_RTOL
-                      * (np.maximum(e.max(axis=-1, keepdims=True), 0.0) + 1.0))
+    floored = np.maximum(e, SPECTRUM_FLOOR_RTOL
+                         * (np.maximum(e.max(axis=-1, keepdims=True), 0.0) + 1.0))
+    return np.where(np.all(e > 0, axis=-1, keepdims=True), e, floored)
 
 
 def floor_spectrum(cov: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ A :class:`Dataset` is checked when it is built, so a broken matrix or row
 raises there, naming the first offending noise matrix.  A prior whose
 dimension is not the data's raises ``DimensionMismatchError`` from every
 function that scores data against it.  Valid inputs at the edges (one
-observation, one dimension, one component, data at 1e-100 or 1e100) fit
-with a monotone trace and summarize to finite numbers.
+observation, one dimension, one component, data at 1e-100 or 1e100,
+all-zero data, a noise of condition number 1e12) fit with a monotone trace
+and summarize to finite numbers.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd
-from ebmnm import mixture, posterior, sim, solvers
-from ebmnm.core import Dataset, FitConfig, MixturePrior, Penalty
+from ebmnm import linalg, mixture, posterior, sim, solvers
+from ebmnm.core import ComponentConstraint, Dataset, FitConfig, MixturePrior, Penalty
 from ebmnm.exceptions import (
     DimensionMismatchError,
     EmptyDataError,
@@ -111,27 +112,45 @@ def test_prior_of_another_dimension_is_rejected_by_every_scorer(n, r, shared, of
             call()
 
 
-# (n, R, K, algorithm, penalty, data magnitude s); the noise is s^2 times a PSD matrix.
+# (n, R, K, algorithm, penalty, data magnitude s, data kind); the noise is s^2 times a PSD
+# matrix, of condition number 1e12 for "ill", and the data are all zero for "zero".  "fa"
+# fits rank-1 components.
 EDGE_FITS = [
-    (1, 3, 3, "ted", Penalty.none(), 1.0),
-    (1, 3, 3, "ed", Penalty.none(), 1.0),
-    (50, 1, 3, "ted", Penalty.none(), 1.0),
-    (50, 1, 3, "ed", Penalty.none(), 1.0),
-    (50, 3, 1, "ted", Penalty.none(), 1.0),
-    (50, 3, 1, "ed", Penalty.none(), 1.0),
-    (60, 3, 3, "ted", Penalty.inverse_wishart(3.0), 1e-100),
-    (60, 3, 3, "ted", Penalty.inverse_wishart(3.0), 1e100),
-]
+    (1, 3, 3, "ted", Penalty.none(), 1.0, "plain"),
+    (1, 3, 3, "ed", Penalty.none(), 1.0, "plain"),
+    (50, 1, 3, "ted", Penalty.none(), 1.0, "plain"),
+    (50, 1, 3, "ed", Penalty.none(), 1.0, "plain"),
+    (50, 3, 1, "ted", Penalty.none(), 1.0, "plain"),
+    (50, 3, 1, "ed", Penalty.none(), 1.0, "plain"),
+    (60, 3, 3, "ted", Penalty.inverse_wishart(3.0), 1e-100, "plain"),
+    (60, 3, 3, "ted", Penalty.inverse_wishart(3.0), 1e100, "plain"),
+] + [(60, 3, 3, algorithm, penalty, s, data)
+     for data in ("zero", "ill")
+     for algorithm, penalty in (("ted", Penalty.none()), ("ted", Penalty.inverse_wishart(3.0)),
+                                ("ted", Penalty.nuclear_norm(3.0)), ("ed", Penalty.none()),
+                                ("ed", Penalty.inverse_wishart(3.0)), ("fa", Penalty.none()))
+     for s in (1.0, 1e100)]
 
 
-@pytest.mark.parametrize("n, r, k, algorithm, penalty, s", EDGE_FITS)
-def test_edge_input_fits_are_monotone_and_summarize_finitely(n, r, k, algorithm, penalty, s):
+def _edge_noise(rng, r, data):
+    if data != "ill":
+        return random_psd(rng, r)
+    q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    return linalg.sym((q * np.logspace(0.0, -12.0, r)) @ q.T)
+
+
+@pytest.mark.parametrize("n, r, k, algorithm, penalty, s, data", EDGE_FITS)
+def test_edge_input_fits_are_monotone_and_summarize_finitely(n, r, k, algorithm, penalty, s,
+                                                             data):
     rng = np.random.default_rng(n + 10 * r + 100 * k)
-    noise = random_psd(rng, r)
+    noise = _edge_noise(rng, r, data)
     theta = rng.multivariate_normal(np.zeros(r), random_psd(rng, r, 3.0), size=n)
     x = theta + rng.multivariate_normal(np.zeros(r), noise, size=n)
+    if data == "zero":
+        x = np.zeros((n, r))
     dataset = Dataset(s * x, s * s * noise)
-    init = mixture.random_init(r, k, seed=5)
+    constraints = (ComponentConstraint.rank1(),) * k if algorithm == "fa" else None
+    init = mixture.random_init(r, k, 5, constraints)
     init = MixturePrior(init.weights, s * s * init.covariances, init.scales, init.constraints)
     result = mixture.fit(dataset, init, FitConfig(algorithm, penalty, max_iterations=30,
                                                   tolerance=1e-12))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset, random_psd
 from ebmnm import mixture, sim, solvers
@@ -207,8 +209,16 @@ class TestFit:
                 assert np.diff(objective).min() >= -slack, (s, algorithm, penalty.kind, kinds,
                                                             shared)
 
-    def test_shared_noise_m_step_is_one_stacked_solve(self, rng, monkeypatch):
-        """A 5-iteration ted+iw fit, K=6: one problem and one spectrum solve per iteration."""
+    @pytest.mark.parametrize("shared, algorithm, spectrum_solves", [
+        pytest.param(True, "ted", 5, id="shared"),
+        pytest.param(False, "ed", 0, id="per_observation")])
+    def test_m_step_is_one_problem_per_iteration(self, rng, monkeypatch, shared, algorithm,
+                                                 spectrum_solves):
+        """A 5-iteration fit with "iw", K=6: one problem per iteration under either noise.
+
+        Shared noise runs ``ted``, with one spectrum solve per iteration;
+        per-observation noise runs ``ed``.
+        """
         calls = {"WeightedProblem": 0, "solve_penalized_spectrum": 0}
         for name in calls:
             original = getattr(solvers, name)
@@ -218,12 +228,12 @@ class TestFit:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(solvers, name, counted)
-        ds = random_dataset(rng, 200, 3)
-        config = FitConfig("ted", Penalty.inverse_wishart(3.0), max_iterations=5,
+        ds = random_dataset(rng, 200, 3, shared=shared)
+        config = FitConfig(algorithm, Penalty.inverse_wishart(3.0), max_iterations=5,
                            tolerance=1e-300)
         result = fit(ds, random_init(3, 6, seed=5), config)
         assert result.trace.iterations_run == 5
-        assert calls == {"WeightedProblem": 5, "solve_penalized_spectrum": 5}
+        assert calls == {"WeightedProblem": 5, "solve_penalized_spectrum": spectrum_solves}
 
     def test_dead_component_left_untouched(self, rng):
         ds = random_dataset(rng, 30, 2)
@@ -269,3 +279,62 @@ class TestFit:
                 mean = summarize(scaled_ds, scaled_fit.prior).mean
                 np.testing.assert_allclose(mean, c * base_mean, rtol=1e-6,
                                            atol=1e-12 * c * np.abs(base_mean).max())
+
+
+# Every supported (algorithm, penalty) pair, the kinds of component it fits
+# and whether it needs a shared noise.  "scaled1" has a rank-1 base, whose
+# exact step applies under shared noise; "scaled" has a full-rank base,
+# which always searches.
+SUPPORTED = {
+    "ted": ((Penalty.none(), Penalty.inverse_wishart(3.0), Penalty.nuclear_norm(3.0)),
+            ("free", "rank1", "scaled1", "scaled"), True),
+    "ed": ((Penalty.none(), Penalty.inverse_wishart(3.0)), ("free", "scaled1", "scaled"), False),
+    "fa": ((Penalty.none(),), ("rank1", "scaled1", "scaled"), False),
+}
+
+
+@st.composite
+def fit_configurations(draw):
+    """A dataset at magnitude ``s``, a supported config and a start with bases times ``s^2``."""
+    algorithm = draw(st.sampled_from(sorted(SUPPORTED)))
+    penalties, kinds, needs_shared = SUPPORTED[algorithm]
+    penalty = draw(st.sampled_from(penalties))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    shared = needs_shared or draw(st.booleans())
+    s = draw(st.sampled_from([1e-50, 1.0, 1e50]))
+    r = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = random_dataset(rng, draw(st.sampled_from([20, 60])), r, shared=shared)
+    v = rng.standard_normal(r)
+    bases = {"scaled1": s * s * np.outer(v, v), "scaled": s * s * random_psd(rng, r)}
+    constraints = tuple(ComponentConstraint.scaled(bases[kind]) if kind in bases
+                        else ComponentConstraint(kind) for kind in kinds)
+    init = random_init(r, len(kinds), seed=draw(st.integers(0, 2**32 - 1)),
+                       constraints=constraints)
+    init = MixturePrior(init.weights, np.stack([
+        u if c.kind == "scaled" else s * s * u
+        for u, c in zip(init.covariances, constraints)]), init.scales, constraints)
+    config = FitConfig(algorithm, penalty, max_iterations=15, tolerance=1e-13,
+                       warm_start_iterations=draw(st.sampled_from([0, 3])))
+    return Dataset(s * ds.x, s * s * ds.noise), init, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_configurations())
+def test_every_configuration_is_monotone_and_keeps_its_constraints(case):
+    """The slack of ``test_trace_monotone_across_configurations``; constraints to rounding."""
+    dataset, init, config = case
+    result = fit(dataset, init, config)
+    objective = result.trace.objective
+    assert np.all(np.isfinite(objective))
+    assert np.diff(objective).min() >= -2e-11 * np.abs(objective).max()
+    eps = np.finfo(float).eps
+    for u, constraint in zip(result.prior.covariances, result.prior.constraints):
+        if constraint.kind == "rank1":
+            e = np.linalg.eigvalsh(u)
+            assert np.all(np.abs(e[:-1]) <= 1e3 * eps * max(e[-1], 0.0))
+        elif constraint.kind == "scaled":
+            base = constraint.base
+            c = np.sum(u * base) / np.sum(base * base)
+            assert c >= 0.0
+            np.testing.assert_allclose(u, c * base, rtol=1e3 * eps, atol=0.0)

@@ -559,6 +559,14 @@ class TestScaleFactorUpdate:
         s = scale_factor_update(solvers.floor_spectrum(u), Penalty.inverse_wishart(1.0))
         assert s > 0
 
+    def test_floor_binds_only_where_the_penalty_is_infinite(self):
+        """A strictly positive spectrum, however wide, keeps its exact minimizing scale."""
+        e = np.array([[0.5, 7e5, 3e12], [0.0, 7e5, 3e12]])
+        floored = solvers.floor_eigenvalues(e)
+        np.testing.assert_array_equal(floored[0], e[0])
+        assert floored[1, 0] == solvers.SPECTRUM_FLOOR_RTOL * (3e12 + 1.0)
+        np.testing.assert_array_equal(floored[1, 1:], e[1, 1:])
+
 
 class TestComponentLoglik:
     def test_matches_scipy_density(self, rng):

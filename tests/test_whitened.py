@@ -209,6 +209,33 @@ def test_rank1_covariance_far_above_the_noise_is_accepted(scale):
     assert np.all(np.isfinite(components.log_densities()))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e12, 1e16, 1e18])
+def test_rank1_log_densities_match_the_exact_rank1_density(scale):
+    """``U = scale tr(V) u u^T`` at R=4 on correlated noise, against Sherman-Morrison.
+
+    Rounding-level whitened eigenvalues of ``U`` count as zeros, so the
+    log-densities keep full precision however far ``U`` lies above the noise.
+    Tolerance fixed before the first run: 1e3 eps relative.
+    """
+    rng = np.random.default_rng(13)
+    r = 4
+    noise = random_psd(rng, r)
+    x = rng.standard_normal((30, r))
+    u = rng.standard_normal(r)
+    got = solvers.component_loglik(Dataset(x, noise), scale * np.trace(noise) * np.outer(u, u))
+    lower = np.linalg.cholesky(noise)
+    z = np.linalg.solve(lower, x.T).T
+    b = np.sqrt(scale * np.trace(noise)) * np.linalg.solve(lower, u)
+    beta = b @ b
+    unit = b / np.sqrt(beta)
+    t = z @ unit
+    # |z|^2 - (b.z)^2 / (1 + beta), without the cancellation.
+    quad = np.sum((z - np.outer(t, unit)) ** 2, axis=1) + t * t / (1.0 + beta)
+    logdet = 2.0 * np.sum(np.log(np.diag(lower))) + np.log1p(beta)
+    exact = -0.5 * (r * np.log(2.0 * np.pi) + logdet + quad)
+    assert np.all(np.abs(got - exact) <= 1e3 * np.finfo(float).eps * np.abs(exact))
+
+
 def test_ted_fit_with_a_scaled_component_far_below_its_base():
     """Data at 1e-20 and noise 1e-40 I, with a ``scaled(ones)`` start at the base's unit scale."""
     r = 4
